@@ -6,10 +6,10 @@ GO ?= go
 # letting coverage rot unnoticed.
 COVER_FLOOR ?= 85
 
-.PHONY: verify build test race vet docvet bench bench-smoke bench-workers bench-json bench-gate fuzz-smoke cluster-smoke server-smoke adapt-smoke cover clean
+.PHONY: verify build test race vet docvet bench-test bench bench-smoke bench-workers bench-json bench-gate fuzz-smoke cluster-smoke server-smoke adapt-smoke cover clean
 
 # verify is the tier-1 gate: everything CI runs, from a clean checkout.
-verify: vet build race
+verify: vet build race bench-test
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-test compiles and tests the benchmark of BENCHMARK.json. bench/
+# is a module of its own, which ./... does not reach: its unit tests and
+# the -scale tiny smoke (wire digests ≡ in-process, < 10 s).
+bench-test:
+	cd bench && $(GO) test ./...
 
 # bench runs the paper-artifact benchmarks on reduced grids.
 bench:
@@ -59,13 +65,13 @@ bench-gate:
 
 # fuzz-smoke runs the metamorphic fuzz targets — foreign-vs-self-join
 # parity, reorder-vs-sorted parity, cluster-vs-sequential parity,
-# vectorized-vs-scalar kernel parity, adaptive-vs-static parity (the
-# self-tuning layer's output-invariance contract), and the multi-tenant
-# session protocol (random SESSION/ADD/STATS interleavings against a
-# live server, per-session accounting as the oracle) — for a short burst
-# each on top of their committed seed corpora (testdata/fuzz/…): a CI
-# pass that keeps hunting for oracle violations without the cost of a
-# long fuzzing campaign. `go test -fuzz` takes one target per run, hence
+# block-vs-scalar kernel parity, admission window ≡ scalar predicate,
+# adaptive-vs-static parity (the self-tuning layer's output-invariance
+# contract), and the multi-tenant session protocol (random
+# SESSION/ADD/STATS interleavings against a live server, per-session
+# accounting as the oracle) — for a short burst each on top of their
+# committed seed corpora (testdata/fuzz/…): a CI pass that keeps hunting
+# for oracle violations without the cost of a long fuzzing campaign. `go test -fuzz` takes one target per run, hence
 # one command of $(FUZZTIME) each.
 FUZZTIME ?= 15s
 fuzz-smoke:
@@ -73,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReorderParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzClusterParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzKernelParity -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzAdmitWindow -fuzztime $(FUZZTIME) ./internal/apss
 	$(GO) test -run '^$$' -fuzz FuzzAdaptParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzSessionProtocol -fuzztime $(FUZZTIME) .
 

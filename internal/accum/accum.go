@@ -38,6 +38,12 @@ type Dense struct {
 	// Cands), in first-decline order. Only the sharded engines use it,
 	// to union per-shard declines during the merge.
 	Deads []uint32
+	// Decay caches the time-decay factor of admitted slots, so a probe
+	// evaluates it at most once per candidate however many posting
+	// entries and bounds read it. Sized by BeginDecay only. The owner
+	// sets Decay[slot] on admission: the factor if it already has it, a
+	// negative value for "not computed yet".
+	Decay []float64
 }
 
 // Begin starts a new probe over a slot space of size n: it grows the
@@ -60,6 +66,14 @@ func (a *Dense) Begin(n int) {
 	}
 	a.Cands = a.Cands[:0]
 	a.Deads = a.Deads[:0]
+}
+
+// BeginDecay is Begin for an index that keeps the per-slot decay cache.
+func (a *Dense) BeginDecay(n int) {
+	a.Begin(n)
+	if len(a.Decay) < n {
+		a.Decay = append(a.Decay, make([]float64, n-len(a.Decay))...)
+	}
 }
 
 // Admit marks slot as a candidate of the current probe with a zeroed

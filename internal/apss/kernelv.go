@@ -2,60 +2,59 @@ package apss
 
 import "math"
 
-// This file provides the batched lane primitives of the vectorized
-// verification kernels (see internal/index/streaming/kernelv.go). The
-// streaming indexes store posting entries in 16-entry struct-of-arrays
-// blocks, so the hot per-entry quantities — decay factors and coordinate
-// products — can be computed over contiguous float slices per block
-// instead of one interface call per entry. Every primitive is
-// bit-identical to its scalar counterpart: same operations, same order,
-// one lane at a time, so the vectorized engines reproduce the frozen
-// scalar kernels' floats exactly.
+// This file provides the primitives of the block scan kernels (see
+// internal/index/streaming/kernelv.go) that belong to the join model
+// rather than to the index layout: the time-threshold form of a decayed
+// admission bound, and the batched coordinate products of the STR-INV
+// scatter. Both reproduce the scalar kernels' floats exactly.
+
+// Window is the time-threshold form of the decayed admission test
+// scale·Factor(dt) ≥ θ for dt ≥ 0. Factor is non-increasing, so the test
+// passes up to some time gap and fails beyond it; a Window brackets that
+// gap so a scan decides almost every posting entry by comparing times:
 //
-// Quant8/Dequant8 implement the 8-bit admissible quantization of the
-// cheap-reject tier: per-block maxima of posting values and prefix norms
-// are stored as ceil-quantized uint8 summaries, and a block is discarded
-// wholesale when even the dequantized (over-estimated) best case cannot
-// reach θ. Admissibility — Dequant8(Quant8(v)) ≥ v for v ∈ [0, 1] — is
-// what makes a quantized reject a proof, never a heuristic: the tier can
-// only skip work whose outcome is already decided, so match sets and
-// pruning counters stay bit-identical to the scalar path.
+//	dt ≤ Lo       the test passes (admit)
+//	dt ≥ Hi       the test fails (reject)
+//	Lo < dt < Hi  undecided: evaluate scale·Factor(dt) < θ itself
+//
+// Lo and Hi are never NaN.
+type Window struct{ Lo, Hi float64 }
 
-// Quant8 ceil-quantizes v ∈ [0, 1] to 8 bits: the smallest q with
-// q/255 ≥ v. Inputs ≥ 1 saturate to 255; negative (or NaN) inputs clamp
-// to 0. Outside [0, 1] the round trip is not admissible — callers that
-// summarize possibly-out-of-range data must detect that and disable the
-// quantized tier (see parena.qbad).
-func Quant8(v float64) uint8 {
-	if !(v > 0) {
-		return 0
-	}
-	if v >= 1 {
-		return 255
-	}
-	return uint8(math.Ceil(v * 255))
-}
+var (
+	// AdmitAll is the Window of a test that passes at every time gap.
+	AdmitAll = Window{Lo: math.Inf(1), Hi: math.Inf(1)}
+	// RejectAll is the Window of a test that fails at every time gap.
+	RejectAll = Window{Lo: math.Inf(-1), Hi: math.Inf(-1)}
+)
 
-// Dequant8 maps a quantized summary back to its upper bound q/255.
-func Dequant8(q uint8) float64 { return float64(q) / 255 }
-
-// FactorLanes fills out[j] = k.Factor(now - ts[j]) for every lane. For
-// the paper's Exponential kernel the interface dispatch is hoisted out
-// of the loop and the loop body is exactly Exponential.Factor inlined —
-// math.Exp(-λ·(now-t)), same expression, same rounding — so a batched
-// decay is bitwise the per-entry one.
-func FactorLanes(k Kernel, now float64, ts, out []float64) {
-	out = out[:len(ts)]
-	if e, ok := k.(Exponential); ok {
-		l := e.Lambda
-		for j, t := range ts {
-			out[j] = math.Exp(-l * (now - t))
-		}
-		return
+// AdmitWindow returns the Window of scale·k.Factor(dt) ≥ theta. The
+// analytic threshold is k.Horizon(theta/scale); guard is the half-width
+// of the band around it that is left undecided, which absorbs the
+// rounding of Horizon, Factor and the product (any guard ≥ 0 is sound,
+// a wider one only sends more entries to the exact test).
+//
+// The result is exact, not approximate: each end of the band is kept only
+// if the scalar predicate itself, evaluated there, confirms it, and
+// Factor's monotonicity extends that one evaluation to every time gap
+// beyond it. An end that fails its probe — a Horizon that is off by more
+// than guard — is dropped (Lo = −Inf or Hi = +Inf), which costs speed,
+// never correctness. At most two Factor calls.
+func AdmitWindow(k Kernel, scale, theta, guard float64) Window {
+	if scale < theta {
+		return RejectAll // Factor ≤ 1: the product cannot reach theta
 	}
-	for j, t := range ts {
-		out[j] = k.Factor(now - t)
+	if math.IsInf(scale, 1) {
+		return AdmitAll // +Inf·Factor is +Inf or NaN, neither below theta
 	}
+	h := k.Horizon(theta / scale)
+	w := Window{Lo: h - guard, Hi: h + guard}
+	if !(w.Lo >= 0 && scale*k.Factor(w.Lo) >= theta) {
+		w.Lo = math.Inf(-1)
+	}
+	if !(scale*k.Factor(w.Hi) < theta) {
+		w.Hi = math.Inf(1)
+	}
+	return w
 }
 
 // ScaleLanes fills out[j] = x * vals[j], hand-unrolled 4-wide over the

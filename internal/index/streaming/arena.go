@@ -71,23 +71,13 @@ type parena struct {
 	off   []int32
 	end   []int32
 
-	// Per-block summaries for the vectorized kernels' quantized
-	// cheap-reject tier (withPnorm arenas only; see kernelv.go). They
-	// are derived state, maintained as monotone maxima over the block's
-	// ever-held entries: push and compaction moves fold entries in,
-	// removals never shrink them — stale-high is admissible, the tier
-	// only over-estimates and skips less. Checkpoint load rebuilds them
-	// through the ordinary push path, so they are not serialized.
-	qval []uint8   // ceil-quantized max |val| in the block (apss.Quant8)
-	qpn  []uint8   // ceil-quantized max pnorm in the block
-	tmax []float64 // upper bound on the newest entry time in the block
-
-	// qbad disables the quantized tier: it latches true if any
-	// summarized |val| or pnorm ever falls outside the admissible [0, 1]
-	// quantization domain (unit vectors guarantee it never does;
-	// out-of-contract inputs merely disable the tier instead of
-	// corrupting its soundness). Zero value: tier enabled.
-	qbad bool
+	// tmax[b] bounds the entry times of block b from above (withPnorm
+	// arenas only): the decay bracket of a disordered (L2AP) chain, whose
+	// lanes carry no time order. Derived state, kept as a monotone maximum
+	// over the block's ever-held entries: push and compaction moves fold
+	// entries in, removals never shrink it — stale-high only weakens the
+	// bracket. Checkpoint load rebuilds it through the ordinary push path.
+	tmax []float64
 
 	free []int32 // recycled block indexes
 }
@@ -113,7 +103,6 @@ func (ar *parena) alloc() int32 {
 		ar.older[b], ar.newer[b] = -1, -1
 		ar.off[b], ar.end[b] = 0, 0
 		if ar.withPnorm {
-			ar.qval[b], ar.qpn[b] = 0, 0
 			ar.tmax[b] = math.Inf(-1)
 		}
 		return b
@@ -128,28 +117,14 @@ func (ar *parena) alloc() int32 {
 	ar.val = append(ar.val, zeroF64[:]...)
 	if ar.withPnorm {
 		ar.pnorm = append(ar.pnorm, zeroF64[:]...)
-		ar.qval = append(ar.qval, 0)
-		ar.qpn = append(ar.qpn, 0)
 		ar.tmax = append(ar.tmax, math.Inf(-1))
 	}
 	return b
 }
 
-// coverAt folds the entry at arena index ai into block b's summaries,
-// keeping the quantized tier's upper bounds valid. Called on every push
-// and on every compaction move into b; summaries never shrink.
+// coverAt folds the entry at arena index ai into block b's tmax. Called
+// on every push and on every compaction move into b.
 func (ar *parena) coverAt(b int32, ai int) {
-	v, pn := ar.val[ai], ar.pnorm[ai]
-	av := math.Abs(v)
-	if !(av <= 1 && pn >= 0 && pn <= 1) {
-		ar.qbad = true
-	}
-	if q := apss.Quant8(av); q > ar.qval[b] {
-		ar.qval[b] = q
-	}
-	if q := apss.Quant8(pn); q > ar.qpn[b] {
-		ar.qpn[b] = q
-	}
 	if t := ar.t[ai]; t > ar.tmax[b] {
 		ar.tmax[b] = t
 	}
@@ -319,8 +294,8 @@ func (ar *parena) compact(ch *chain, keep func(i int) bool) int {
 				ar.val[wa] = ar.val[ai]
 				if ar.withPnorm {
 					ar.pnorm[wa] = ar.pnorm[ai]
-					// The write block's summaries must keep covering the
-					// lane it just received.
+					// The write block's tmax must keep covering the lane it
+					// just received.
 					ar.coverAt(wb, wa)
 				}
 			}
@@ -351,13 +326,40 @@ func (ar *parena) compact(ch *chain, keep func(i int) bool) int {
 	return removed
 }
 
+// vdescend is the block-granular variant of descendCut used by the block
+// scan kernels (kernelv.go) on time-ordered chains: newest block first,
+// blk receives each block's live lanes [lo, hi). Expired lanes form a
+// prefix of a block (times ascend with position), so the cut point of
+// the scalar backward scan is the first live lane of the block that
+// contains it: that block's live lanes are processed, then the cut drops
+// the expired lane and everything older, exactly like descendCut.
+// Returns the number of removed entries.
+func (ar *parena) vdescend(ch *chain, now, tau float64, blk func(base, lo, hi int)) int {
+	for b := ch.newest; b >= 0; {
+		base := int(b) << blockShift
+		lo, hi := int(ar.off[b]), int(ar.end[b])
+		first := lo
+		for first < hi && now-ar.t[base+first] > tau {
+			first++
+		}
+		if first < hi {
+			blk(base, first, hi)
+		}
+		if first > lo {
+			return ar.cutAt(ch, b, int32(first-1))
+		}
+		b = ar.older[b]
+	}
+	return 0
+}
+
 // vcompact is the block-granular variant of compact used by the
 // vectorized scan kernels (kernelv.go) on disordered (AP) chains. Expiry
 // is the keep criterion: per block it first computes the live-lane
 // bitmask (bit j set ⇔ lane at block position j has now-t ≤ tau), hands
 // the whole block to blk for batched lane processing, then packs the
 // survivors exactly as compact does (same write-cursor walk, same final
-// layout, write-block summaries re-covered on every move). blk sees the
+// layout, write-block tmax re-covered on every move). blk sees the
 // block's storage untouched: the write cursor cannot have reached a
 // block before all older blocks were read, so moves only overwrite
 // already-processed positions. Returns the number of removed entries.

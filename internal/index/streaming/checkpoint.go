@@ -491,7 +491,7 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 		putEntry = func(d uint32, slot uint32, t, val, pnorm float64) {
 			v.pushEntry(d, slot, t, val, pnorm)
 		}
-		putRes = func(id uint64, m *smeta) { v.res.Put(id, m) }
+		putRes = v.putResidual
 		putM = func(d uint32, val float64) {
 			v.m[d] = val
 			v.lastTouch[d] = now
@@ -510,7 +510,7 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 		putEntry = func(d uint32, slot uint32, t, val, pnorm float64) {
 			v.pushEntry(d, slot, t, val, pnorm)
 		}
-		putRes = func(id uint64, m *smeta) { v.res.Put(id, m) }
+		putRes = v.putResidual
 		putM = func(d uint32, val float64) {
 			v.m[d] = val
 			v.lastTouch[d] = now

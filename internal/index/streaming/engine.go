@@ -48,6 +48,11 @@ type icCore struct {
 	c       *metrics.Counters
 
 	res *lhmap.Map[uint64, *smeta]
+	// meta addresses the live residuals by slot, so candidate verification
+	// indexes instead of hashing: meta[sl] is the residual whose posting
+	// entries carry sl, nil while sl is free. Derived from res and kept in
+	// step with it by putResidual and expire.
+	meta []*smeta
 	// m is the monotone (undecayed) max vector driving the b1 bound;
 	// per §6.2 decay is deliberately not applied to it, so it only grows
 	// and re-indexing happens only when a new per-dimension maximum
@@ -77,13 +82,13 @@ func (ic *icCore) icBound(b1, b2 float64) float64 {
 // indexVector is the index-construction loop of Algorithm 6 (lines 6–14):
 // walk x's coordinates accumulating the b1 (AP, undecayed m — §6.2) and b2
 // (ℓ2) bounds; once their minimum reaches θ, index the remaining suffix
-// and store the prefix as the residual.
-func (ic *icCore) indexVector(x stream.Item) {
+// and store the prefix as the residual. pn is x.Vec.PrefixNorms(), which
+// the residual keeps.
+func (ic *icCore) indexVector(x stream.Item, pn []float64) {
 	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if len(dims) == 0 {
 		return
 	}
-	pn := x.Vec.PrefixNorms()
 	b1, bt := 0.0, 0.0
 	boundary := -1
 	q := 0.0
@@ -111,7 +116,7 @@ func (ic *icCore) indexVector(x stream.Item) {
 		return
 	}
 	residual := x.Vec.SliceByIndex(0, boundary)
-	ic.res.Put(x.ID, &smeta{
+	ic.putResidual(x.ID, &smeta{
 		t:        x.Time,
 		vec:      x.Vec,
 		pn:       pn,
@@ -122,6 +127,42 @@ func (ic *icCore) indexVector(x stream.Item) {
 		slot:     slot,
 	})
 	ic.c.ResidualEntries++
+}
+
+// putResidual stores m in R under id and in the slot table under m.slot.
+func (ic *icCore) putResidual(id uint64, m *smeta) {
+	ic.res.Put(id, m)
+	if n := int(m.slot) + 1; n > len(ic.meta) {
+		ic.meta = append(ic.meta, make([]*smeta, n-len(ic.meta))...)
+	}
+	ic.meta[m.slot] = m
+}
+
+// residual returns the live residual whose posting entries carry slot
+// sl, or nil: a slot that only a stale posting entry still names (one a
+// checkpoint restored past its item's expiry) has none.
+func (ic *icCore) residual(sl uint32) *smeta {
+	if int(sl) < len(ic.meta) {
+		return ic.meta[sl]
+	}
+	return nil
+}
+
+// expire drops the residuals beyond the horizon at time now (amortized
+// O(1): R is in time order, §6.2) and recycles their slots. The test is
+// the posting entries' own expiry predicate, now−t > tau, not the
+// algebraically equal t < now−tau: the two round differently in the last
+// bit, and a slot released while one of its entries still counts as live
+// would hand that entry's partial dot to the slot's next owner.
+func (ic *icCore) expire(now, tau float64) {
+	ic.res.PruneWhile(func(_ uint64, m *smeta) bool {
+		if now-m.t > tau {
+			ic.meta[m.slot] = nil
+			ic.slots.release(m.slot)
+			return true
+		}
+		return false
+	})
 }
 
 // reindex restores the AP invariant after the max vector grew on the
@@ -223,17 +264,6 @@ type engine struct {
 	clock sweepClock
 	now   float64
 	begun bool
-
-	// Vectorized-kernel scratch: per-block lane buffers for batched decay
-	// factors and coordinate products (kernelv.go).
-	dkLanes [blockCap]float64
-	prLanes [blockCap]float64
-	// Quantized-tier effectiveness stats (not part of metrics.Counters —
-	// the tier is a computational shortcut, work counters are identical
-	// either way; these feed the in-package effectiveness tests and
-	// microbenchmarks).
-	qRejects int64 // blocks rejected wholesale by the admission bound
-	qKills   int64 // blocks whose fresh candidates were killed wholesale
 }
 
 func newEngine(p apss.Params, kernel apss.Kernel, useAP, useL2 bool, abl Ablations, foreign bool, c *metrics.Counters) *engine {
@@ -287,14 +317,15 @@ func (e *engine) AddTo(x stream.Item, emit apss.Sink) error {
 		}
 	}
 
-	e.candGen(x)
+	pn := x.Vec.PrefixNorms()
+	e.candGen(x, pn)
 	// The gate lets a consumer stop mid-stream without leaving x half
 	// processed: index construction below runs regardless.
 	g := apss.NewGate(emit)
 	e.candVer(x, &g)
 	e.c.Pairs += g.Emitted()
 
-	e.indexVector(x)
+	e.indexVector(x, pn)
 	if e.useAP {
 		e.mhatUpdate(x)
 	}
@@ -303,22 +334,15 @@ func (e *engine) AddTo(x stream.Item, emit apss.Sink) error {
 
 // advanceTo moves the stream clock to t (which must be ≥ e.now once
 // begun) and runs the clock-driven maintenance every arrival performs:
-// expire residuals beyond the horizon (amortized O(1): R is in time
-// order, §6.2), recycling their slots — their remaining posting entries
-// are expired too and will never be visited again — and run the horizon
-// sweep if it is due. Factored out of AddTo so a watermark barrier
-// (Advance) drives exactly the same maintenance as an arrival at t.
+// expire residuals beyond the horizon, recycling their slots — their
+// remaining posting entries are expired too and will never be visited
+// again — and run the horizon sweep if it is due. Factored out of AddTo
+// so a watermark barrier (Advance) drives exactly the same maintenance
+// as an arrival at t.
 func (e *engine) advanceTo(t float64) {
 	e.begun = true
 	e.now = t
-	horizonStart := t - e.tau
-	e.res.PruneWhile(func(_ uint64, m *smeta) bool {
-		if m.t < horizonStart {
-			e.slots.release(m.slot)
-			return true
-		}
-		return false
-	})
+	e.expire(t, e.tau)
 	e.maybeSweep()
 }
 
@@ -340,24 +364,27 @@ func (e *engine) Advance(t float64) error {
 // result lives in e.acc until the next probe. The scan runs on the
 // vectorized block kernels (kernelv.go) unless the ScalarKernel ablation
 // selects the frozen entry-at-a-time oracle (kernel_scalar.go); both
-// produce bit-identical accumulator state and counters.
-func (e *engine) candGen(x stream.Item) {
+// produce bit-identical accumulator state and counters. pnx is
+// x.Vec.PrefixNorms().
+func (e *engine) candGen(x stream.Item, pnx []float64) {
 	if e.abl.ScalarKernel {
 		e.candGenScalar(x)
 	} else {
-		e.candGenVec(x)
+		e.candGenVec(x, pnx)
 	}
 }
 
 // candVer is Algorithm 8: walk the candidate list, apply the decayed
 // ps1/ds1/sz2 bounds, then compute the exact residual dot product and
 // emit true matches into the gate as they are verified — no result slice
-// on the hot path.
+// on the hot path. The residual is addressed by slot, and the decay is
+// the one candidate generation cached, if it needed it.
 func (e *engine) candVer(x stream.Item, g *apss.Gate) {
 	a := &e.acc
 	if len(a.Cands) == 0 {
 		return
 	}
+	theta := e.p.Theta
 	vmx := x.Vec.MaxVal()
 	sx := x.Vec.Sum()
 	nx := x.Vec.NNZ()
@@ -365,32 +392,36 @@ func (e *engine) candVer(x stream.Item, g *apss.Gate) {
 		if a.Dead[sl] == a.Epoch {
 			continue
 		}
-		id := e.slots.id[sl]
-		meta, ok := e.res.Get(id)
-		if !ok {
+		meta := e.residual(sl)
+		if meta == nil {
 			// The candidate expired from R; it is outside the horizon.
 			continue
 		}
 		dot := a.Dot[sl]
 		dt := x.Time - meta.t
-		decay := e.kernel.Factor(dt)
-		residual := meta.vec.SliceByIndex(0, meta.boundary)
+		decay := -1.0
+		if !e.abl.ScalarKernel { // the frozen kernel keeps no decay cache
+			decay = a.Decay[sl]
+		}
+		if decay < 0 {
+			decay = e.kernel.Factor(dt)
+		}
 		// ps1 (line 3), ds1 (line 4), sz2 (line 5), all decayed.
 		if !e.abl.NoVerifyBounds {
-			if (dot+meta.q)*decay < e.p.Theta {
+			if (dot+meta.q)*decay < theta {
 				continue
 			}
-			if (dot+math.Min(vmx*meta.rsum, meta.rmax*sx))*decay < e.p.Theta {
+			if (dot+math.Min(vmx*meta.rsum, meta.rmax*sx))*decay < theta {
 				continue
 			}
-			if (dot+float64(min(nx, meta.boundary))*vmx*meta.rmax)*decay < e.p.Theta {
+			if (dot+float64(min(nx, meta.boundary))*vmx*meta.rmax)*decay < theta {
 				continue
 			}
 		}
 		e.c.FullDots++
-		raw := dot + vec.Dot(x.Vec, residual)
-		if sim := raw * decay; sim >= e.p.Theta {
-			g.Emit(apss.Match{X: x.ID, Y: id, Sim: sim, Dot: raw, DT: dt})
+		raw := dot + vec.Dot(x.Vec, meta.vec.SliceByIndex(0, meta.boundary))
+		if sim := raw * decay; sim >= theta {
+			g.Emit(apss.Match{X: x.ID, Y: e.slots.id[sl], Sim: sim, Dot: raw, DT: dt})
 		}
 	}
 }

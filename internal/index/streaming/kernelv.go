@@ -8,60 +8,101 @@ import (
 	"sssj/internal/stream"
 )
 
-// This file implements the vectorized candidate-generation kernels: the
-// default scan path of every streaming engine, restructured around the
-// 16-entry struct-of-arrays arena blocks of arena.go. Where the frozen
-// scalar kernels (kernel_scalar.go) walk posting chains one entry at a
-// time through a closure, these kernels process one block per step:
+// This file implements the block candidate-generation kernels: the
+// default scan path of every streaming engine, built on the 16-entry
+// struct-of-arrays arena blocks of arena.go. Where the frozen scalar
+// kernels (kernel_scalar.go) walk posting chains one entry at a time
+// through a closure and evaluate the decay factor of every entry they
+// meet, these kernels evaluate it for almost none:
 //
-//   - Batched float work. Per-lane decay factors and coordinate products
-//     are computed over the block's contiguous t/val slices by the lane
-//     primitives of internal/apss (FactorLanes, ScaleLanes) — loops the
-//     compiler can keep in registers and unroll, with the Exponential
-//     kernel's interface dispatch hoisted out of the loop.
-//   - Block-uniform outcome tiers. Within a block the scalar kernel's
-//     per-lane decisions are bracketed by the block's extreme decay
-//     factors (a time-ordered block's newest and oldest lanes; Factor is
-//     contractually non-increasing) and, on disordered chains, by the
-//     arena's per-block summaries. When the bracket proves every lane of
-//     the block takes the same branch, the kernel takes it wholesale:
-//     whole-block reject (no lane can pass admission), whole-block admit
-//     (no lane can fail it), and — using the quantized uint8 summaries —
-//     whole-block kill (every freshly admitted lane is immediately dead).
+//   - Time-threshold tiers. The decayed admission bound of a query
+//     coordinate, scale·Factor(dt) ≥ θ, is turned once per coordinate into
+//     a window of time gaps (apss.AdmitWindow, from Kernel.Horizon): a
+//     lane younger than the window is admitted and one older is rejected
+//     by comparing times. On a time-ordered chain that makes whole blocks
+//     admit, at most one block straddle the window, and every older block
+//     reject, where only lanes that are already candidates do any work.
+//     The window is exact, not approximate — see AdmitWindow — so a lane
+//     takes the branch the scalar kernel's product would send it down.
+//   - One decay per candidate. The factor depends on the item, not on the
+//     posting entry: it is computed when a candidate's early ℓ2 kill first
+//     needs it, cached by slot (accum.Dense.Decay), and reused by every
+//     later lane of that slot and by candidate verification. Before that
+//     first evaluation the kill is tried against the decay of the block's
+//     newest lane, which dominates it; a candidate killed there never has
+//     a decay of its own.
 //
 // The contract, enforced by kernel_parity_test.go and FuzzKernelParity:
 // bit-for-bit identity with the scalar kernel. Same match sets, same
-// metrics.Counters, same accumulator state. Three facts make that
-// achievable rather than approximate:
+// metrics.Counters. Three facts make that achievable rather than
+// approximate:
 //
-//   1. Every float a lane-batched primitive produces is the same
-//      expression, operand order, and rounding as the scalar kernel's.
-//   2. IEEE-754 multiplication and addition of non-negative dominating
-//      operands are monotone, so a tier bound built from a block maximum
-//      (or a dequantized, i.e. over-estimated, summary) dominates every
-//      lane's exact value after rounding — a tier shortcut fires only
-//      when the scalar outcome is block-wide determined.
+//   1. Every float compared against θ is the same expression, operand
+//      order, and rounding as the scalar kernel's; a slot's decay is one
+//      value whichever of its entries asks, because every entry carries
+//      the item's arrival time.
+//   2. Factor is non-increasing and IEEE-754 multiplication and addition
+//      of non-negative operands are monotone, so a bound evaluated at one
+//      time gap decides every lane beyond it the same way after rounding:
+//      a tier shortcut fires only when the scalar outcome is determined.
 //   3. Within one chain a live slot appears in at most one lane (one
 //      entry per item per dimension), so per-slot accumulation order
 //      inside a chain cannot differ; lane order is chosen to match the
 //      scalar visit order anyway (descending on time-ordered chains,
 //      ascending on compacted ones) so candidate lists match too.
-//
-// The quantized tier's effectiveness statistics (qRejects/qKills) are
-// deliberately not part of metrics.Counters: the tiers are computational
-// shortcuts, and the work counters must stay identical to the scalar
-// kernel's. They feed the in-package tests and microbenchmarks.
+
+// windowGuard sizes the undecided band of the admission windows as a
+// share of the horizon τ. The band must cover the rounding of
+// Kernel.Horizon and Kernel.Factor near the threshold — a few ulps of
+// the factor, about 1e-16·τ/ln(1/θ) in time for the exponential kernel —
+// and is otherwise free: a lane falls inside it with probability ≈ 2e-9.
+// A band that is too narrow is detected by AdmitWindow, not trusted.
+const windowGuard = 1.0 / (1 << 30)
+
+// windowMinEntries is the chain length from which an admission window
+// pays: building one costs a Horizon and two Factor evaluations, so a
+// chain of at most three entries is decided entry by entry.
+const windowMinEntries = 4
+
+// admitWindow returns the time form of the admission test
+// min(rs1, scale·decay) ≥ theta for a chain of n entries. rs1 carries no
+// decay, so it either rejects the whole chain or leaves the test to the
+// decayed term.
+func admitWindow(k apss.Kernel, rs1, scale, theta, guard float64, n int32) apss.Window {
+	switch {
+	case rs1 < theta || scale < theta:
+		return apss.RejectAll
+	case math.IsInf(scale, 1):
+		return apss.AdmitAll
+	case n < windowMinEntries:
+		return apss.Window{Lo: math.Inf(-1), Hi: math.Inf(1)} // all undecided
+	}
+	return apss.AdmitWindow(k, scale, theta, guard)
+}
 
 // ---------------------------------------------------------------------------
 // Sequential prefix-filtering engine (STR-L2 / STR-L2AP / STR-AP).
 
-// candGenVec is the vectorized body of engine.candGen: Algorithm 7's
+// coord is the state of one query coordinate's chain scan.
+type coord struct {
+	now  float64
+	side apss.Side
+	xj   float64     // the query's value at this coordinate
+	pnx  float64     // ‖x′_j‖, the norm of the query prefix before it
+	rs2  float64     // ℓ2 remscore; the admission bound is min(rs1, rs2·decay)
+	w    apss.Window // that bound in time form
+	// kill enables the early ℓ2 prune (Algorithm 7, lines 10–12).
+	kill bool
+}
+
+// candGenVec is the block-kernel body of engine.candGen: Algorithm 7's
 // reverse coordinate scan with block-granular chain walks. The outer
 // loop — rs1/rs2 maintenance, chain lookup, emptied-chain release — is
-// identical to candGenScalar; only the per-chain scan differs.
-func (e *engine) candGenVec(x stream.Item) {
+// identical to candGenScalar; only the per-chain scan differs. pnx is
+// x.Vec.PrefixNorms().
+func (e *engine) candGenVec(x stream.Item, pnx []float64) {
 	a := &e.acc
-	a.Begin(e.slots.span())
+	a.BeginDecay(e.slots.span())
 	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if len(dims) == 0 {
 		return
@@ -82,23 +123,34 @@ func (e *engine) candGenVec(x stream.Item) {
 		rs2 = math.Sqrt(rst)
 	}
 
-	pnx := x.Vec.PrefixNorms()
-
+	ar := &e.ar
+	q := coord{now: x.Time, side: x.Side, kill: e.useL2 && !e.abl.NoL2Bound}
 	for i := len(dims) - 1; i >= 0; i-- {
 		d, xj := dims[i], vals[i]
 		ch := e.lists[d]
 		if ch == nil {
 			continue
 		}
+		q.xj, q.pnx, q.rs2 = xj, pnx[i], rs2
+		q.w = apss.AdmitAll
+		if !e.abl.NoRemscore {
+			q.w = admitWindow(e.kernel, rs1, rs2, e.p.Theta, e.tau*windowGuard, ch.n)
+		}
+		var removed int
 		if e.useAP {
 			// Re-indexing may have broken time order, so scan forward
 			// through the whole chain, compacting expired entries (§6.2).
-			e.vScanCompact(ch, x, xj, rs1, rs2, pnx[i])
+			removed = ar.vcompact(ch, q.now, e.tau, func(b int32, base, lo, hi int, live uint16) {
+				e.vBlock(&q, base, lo, hi, live, false, q.now-ar.tmax[b], math.Inf(1))
+			})
 		} else {
 			// Time-ordered chain: scan backwards from the newest block and
 			// truncate at the first expired entry (§6.2).
-			e.vScanOrdered(ch, x, xj, rs2, pnx[i])
+			removed = ar.vdescend(ch, q.now, e.tau, func(base, lo, hi int) {
+				e.vBlock(&q, base, lo, hi, 0, true, q.now-ar.t[base+hi-1], q.now-ar.t[base+lo])
+			})
 		}
+		e.c.ExpiredEntries += int64(removed)
 		if ch.n == 0 {
 			delete(e.lists, d)
 		}
@@ -115,240 +167,98 @@ func (e *engine) candGenVec(x stream.Item) {
 	}
 }
 
-// vScanOrdered walks a time-ordered chain newest block first. Expired
-// lanes form a prefix of a block (times ascend with position), so the
-// cut point of the scalar backward scan is the first live lane of the
-// block that contains it: live lanes are processed, then the cut drops
-// the expired lane and everything older, exactly like descendCut+cutAt.
-// Only reached when !useAP, i.e. STR-L2: the remscore is rs2 alone.
-func (e *engine) vScanOrdered(ch *chain, x stream.Item, xj, rs2, pnxi float64) {
-	ar := &e.ar
-	now := x.Time
-	for b := ch.newest; b >= 0; {
-		base := int(b) << blockShift
-		lo, hi := int(ar.off[b]), int(ar.end[b])
-		first := lo
-		for first < hi && now-ar.t[base+first] > e.tau {
-			first++
-		}
-		if first < hi {
-			e.vBlockL2(b, base, first, hi, x, xj, rs2, pnxi)
-		}
-		if first > lo {
-			e.c.ExpiredEntries += int64(ar.cutAt(ch, b, int32(first-1)))
-			return
-		}
-		b = ar.older[b]
-	}
-}
-
-// vBlockL2 processes the live lanes [lo, hi) of time-ordered block b for
-// the sequential STR-L2 engine, trying the block tiers before falling
-// back to the batched per-lane loop. The scalar per-lane outcome it must
-// reproduce (candGenScalar's process closure, with rs1 = +Inf):
+// vBlock processes lanes [lo, hi) of one block. The scalar per-lane
+// outcome it must reproduce (candGenScalar's process closure):
 //
-//	skip lane if  !NoRemscore && rs2·decay < θ      (admission)
-//	kill lane if  !NoL2Bound && dot + pnx·pn·decay < θ  (early ℓ2)
+//	skip lane if  !NoRemscore && min(rs1, rs2·decay) < θ   (admission)
+//	kill lane if  !NoL2Bound && dot + pnx·pn·decay < θ     (early ℓ2)
 //
-// decay is bracketed by the block's newest lane (decayUB) and oldest
-// lane (decayLB); Factor is non-increasing, and rs2 ≥ 0, so rs2·decay
-// lies between the two rounded products for every lane.
-func (e *engine) vBlockL2(b int32, base, lo, hi int, x stream.Item, xj, rs2, pnxi float64) {
-	a := &e.acc
-	ar := &e.ar
-	now, theta := x.Time, e.p.Theta
+// ordered selects the chain discipline and with it the scalar visit
+// order: descending over a time-ordered block, whose [lo, hi) is already
+// trimmed to its live lanes; ascending over the lanes of the live mask on
+// a compacted one. dtMin and dtMax bracket the live lanes' time gaps: the
+// newest and oldest lane of a time-ordered block; now−tmax and +Inf on a
+// disordered chain, which therefore has a reject tier but an admit tier
+// only when the bound is decay-free.
+func (e *engine) vBlock(q *coord, base, lo, hi int, live uint16, ordered bool, dtMin, dtMax float64) {
+	a, ar := &e.acc, &e.ar
+	theta := e.p.Theta
 	e.c.EntriesTraversed += int64(hi - lo)
+	// Reject tier: no lane can pass admission, so only lanes that are
+	// candidates already do any work. Admit tier: none can fail it.
+	rejectAll, admitAll := dtMin >= q.w.Hi, dtMax <= q.w.Lo
+	dub := -1.0 // Factor(dtMin), which dominates every live lane's decay
 
-	decayUB := e.kernel.Factor(now - ar.t[base+hi-1])
-	if !e.abl.NoRemscore && rs2*decayUB < theta {
-		// Reject tier: no lane can pass admission, so fresh candidates are
-		// impossible. Only already-admitted lanes do work — accumulate and
-		// run the exact ℓ2 kill — and, under a foreign join, unmarked
-		// same-side lanes are tombstoned exactly as the scalar gate would.
-		e.qRejects++
-		for j := hi - 1; j >= lo; j-- {
-			ai := base + j
-			sl := ar.slot[ai]
-			if a.Dead[sl] == a.Epoch {
-				continue
-			}
-			if a.Mark[sl] != a.Epoch {
-				if e.foreign && !apss.CrossSide(e.slots.side[sl], x.Side) {
-					a.Dead[sl] = a.Epoch
-				}
-				continue
-			}
-			dot := a.Dot[sl] + xj*ar.val[ai]
-			a.Dot[sl] = dot
-			if !e.abl.NoL2Bound && dot+pnxi*ar.pnorm[ai]*e.kernel.Factor(now-ar.t[ai]) < theta {
-				a.Dead[sl] = a.Epoch
-			}
-		}
-		return
+	j, stop, step := lo, hi, 1
+	if ordered {
+		j, stop, step = hi-1, lo-1, -1
 	}
-
-	decayLB := e.kernel.Factor(now - ar.t[base+lo])
-	admitAll := e.abl.NoRemscore || rs2*decayLB >= theta
-	if admitAll && !ar.qbad && !e.abl.NoL2Bound &&
-		math.Abs(xj)*apss.Dequant8(ar.qval[b])+pnxi*apss.Dequant8(ar.qpn[b])*decayUB < theta {
-		// Quantized kill tier: every lane is admitted (admitAll) and the
-		// dequantized best case — |xj|·max|val| for the fresh dot plus
-		// pnx·max pn·decayUB for the ℓ2 tail — cannot reach θ, so every
-		// fresh candidate dies the moment it is admitted. Admit + kill
-		// without computing a single per-lane decay. Already-admitted
-		// lanes carry accumulated dots the summary says nothing about, so
-		// they take the exact path.
-		e.qKills++
-		for j := hi - 1; j >= lo; j-- {
-			ai := base + j
-			sl := ar.slot[ai]
-			if a.Dead[sl] == a.Epoch {
-				continue
-			}
-			if a.Mark[sl] != a.Epoch {
-				if e.foreign && !apss.CrossSide(e.slots.side[sl], x.Side) {
+	for ; j != stop; j += step {
+		if !ordered && live&(1<<uint(j)) == 0 {
+			continue
+		}
+		ai := base + j
+		sl := ar.slot[ai]
+		if a.Mark[sl] != a.Epoch {
+			// Foreign-join side gating comes first, as in the scalar
+			// kernel: a same-side item is tombstoned, never a candidate.
+			// (Only tombstones are dead without being marked.)
+			if e.foreign {
+				if !apss.CrossSide(e.slots.side[sl], q.side) {
 					a.Dead[sl] = a.Epoch
 					continue
 				}
-				a.Admit(sl)
-				e.c.Candidates++
-				a.Dot[sl] += xj * ar.val[ai]
-				a.Dead[sl] = a.Epoch
+			}
+			if rejectAll {
 				continue
 			}
-			dot := a.Dot[sl] + xj*ar.val[ai]
-			a.Dot[sl] = dot
-			if dot+pnxi*ar.pnorm[ai]*e.kernel.Factor(now-ar.t[ai]) < theta {
-				a.Dead[sl] = a.Epoch
-			}
-		}
-		return
-	}
-
-	// General block: batch the decays and products, then branch per lane
-	// exactly as the scalar kernel does. When every lane is admitted and
-	// the ℓ2 kill is ablated the decays are dead values — skip them.
-	n := hi - lo
-	dk := e.dkLanes[:n]
-	if !admitAll || !e.abl.NoL2Bound {
-		apss.FactorLanes(e.kernel, now, ar.t[base+lo:base+hi], dk)
-	}
-	pr := e.prLanes[:n]
-	apss.ScaleLanes(xj, ar.val[base+lo:base+hi], pr)
-	for j := hi - 1; j >= lo; j-- {
-		ai := base + j
-		sl := ar.slot[ai]
-		if a.Dead[sl] == a.Epoch {
-			continue
-		}
-		if a.Mark[sl] != a.Epoch {
-			if e.foreign && !apss.CrossSide(e.slots.side[sl], x.Side) {
-				a.Dead[sl] = a.Epoch
-				continue
-			}
-			if !admitAll && rs2*dk[j-lo] < theta {
-				continue
+			d := -1.0
+			if !admitAll {
+				dt := q.now - ar.t[ai]
+				if dt >= q.w.Hi {
+					continue
+				}
+				if dt > q.w.Lo {
+					if d = e.kernel.Factor(dt); q.rs2*d < theta {
+						continue
+					}
+				}
 			}
 			a.Admit(sl)
+			a.Decay[sl] = d
 			e.c.Candidates++
+		} else if a.Dead[sl] == a.Epoch {
+			continue
 		}
-		dot := a.Dot[sl] + pr[j-lo]
+		dot := a.Dot[sl] + q.xj*ar.val[ai]
 		a.Dot[sl] = dot
-		if !e.abl.NoL2Bound && dot+pnxi*ar.pnorm[ai]*dk[j-lo] < theta {
+		if !q.kill {
+			continue
+		}
+		tail := q.pnx * ar.pnorm[ai]
+		d := a.Decay[sl]
+		if d < 0 {
+			// First use of this candidate's decay. With tail ≥ 0 (it is,
+			// short of a corrupted index) the kill under the dominating
+			// dub implies the kill under d.
+			if dub < 0 {
+				dub = e.kernel.Factor(dtMin)
+			}
+			if tail >= 0 && dot+tail*dub < theta {
+				a.Dead[sl] = a.Epoch
+				continue
+			}
+			if dt := q.now - ar.t[ai]; dt == dtMin {
+				d = dub
+			} else {
+				d = e.kernel.Factor(dt)
+			}
+			a.Decay[sl] = d
+		}
+		if dot+tail*d < theta {
 			a.Dead[sl] = a.Epoch
 		}
 	}
-}
-
-// vScanCompact scans a possibly disordered chain (useAP: re-indexing
-// breaks time order) through the block-granular compaction walk. Lane
-// times carry no order, so the decay bracket comes from the block
-// summary: tmax[b] never underestimates any live lane's time, hence
-// Factor(now−tmax) dominates every lane's decay. There is no admit-all
-// bracket on a disordered chain — except for STR-AP (useL2 false),
-// whose admission bound min(rs1, +Inf) = rs1 is decay-free and
-// block-uniform, so surviving the reject tier admits every lane.
-func (e *engine) vScanCompact(ch *chain, x stream.Item, xj, rs1, rs2, pnxi float64) {
-	a := &e.acc
-	ar := &e.ar
-	now, theta := x.Time, e.p.Theta
-	removed := ar.vcompact(ch, now, e.tau, func(b int32, base, lo, hi int, live uint16) {
-		e.c.EntriesTraversed += int64(hi - lo)
-		if live == 0 {
-			return
-		}
-		ub := rs1
-		if e.useL2 {
-			if v := rs2 * e.kernel.Factor(now-ar.tmax[b]); v < ub {
-				ub = v
-			}
-		}
-		if !e.abl.NoRemscore && ub < theta {
-			// Reject tier (see vBlockL2); masked to the live lanes, in the
-			// scalar compaction's ascending visit order.
-			e.qRejects++
-			for j := lo; j < hi; j++ {
-				if live&(1<<uint(j)) == 0 {
-					continue
-				}
-				ai := base + j
-				sl := ar.slot[ai]
-				if a.Dead[sl] == a.Epoch {
-					continue
-				}
-				if a.Mark[sl] != a.Epoch {
-					if e.foreign && !apss.CrossSide(e.slots.side[sl], x.Side) {
-						a.Dead[sl] = a.Epoch
-					}
-					continue
-				}
-				dot := a.Dot[sl] + xj*ar.val[ai]
-				a.Dot[sl] = dot
-				if e.useL2 && !e.abl.NoL2Bound && dot+pnxi*ar.pnorm[ai]*e.kernel.Factor(now-ar.t[ai]) < theta {
-					a.Dead[sl] = a.Epoch
-				}
-			}
-			return
-		}
-		n := hi - lo
-		dk := e.dkLanes[:n]
-		if e.useL2 {
-			apss.FactorLanes(e.kernel, now, ar.t[base+lo:base+hi], dk)
-		}
-		pr := e.prLanes[:n]
-		apss.ScaleLanes(xj, ar.val[base+lo:base+hi], pr)
-		for j := lo; j < hi; j++ {
-			if live&(1<<uint(j)) == 0 {
-				continue
-			}
-			ai := base + j
-			sl := ar.slot[ai]
-			if a.Dead[sl] == a.Epoch {
-				continue
-			}
-			if a.Mark[sl] != a.Epoch {
-				if e.foreign && !apss.CrossSide(e.slots.side[sl], x.Side) {
-					a.Dead[sl] = a.Epoch
-					continue
-				}
-				rs2d := rs2
-				if e.useL2 {
-					rs2d = rs2 * dk[j-lo]
-				}
-				if !e.abl.NoRemscore && math.Min(rs1, rs2d) < theta {
-					continue
-				}
-				a.Admit(sl)
-				e.c.Candidates++
-			}
-			dot := a.Dot[sl] + pr[j-lo]
-			a.Dot[sl] = dot
-			if e.useL2 && !e.abl.NoL2Bound && dot+pnxi*ar.pnorm[ai]*dk[j-lo] < theta {
-				a.Dead[sl] = a.Epoch
-			}
-		}
-	})
-	e.c.ExpiredEntries += int64(removed)
 }
 
 // ---------------------------------------------------------------------------
@@ -363,39 +273,24 @@ func (e *engine) vScanCompact(ch *chain, x stream.Item, xj, rs1, rs2, pnxi float
 // entries the expiry cut removed.
 func vScanInv(ar *parena, ch *chain, a *accum.Dense, slots *slotTab, pr *[blockCap]float64,
 	x stream.Item, xj, tau float64, foreign bool, traversed, candidates *int64) int {
-	now := x.Time
-	for b := ch.newest; b >= 0; {
-		base := int(b) << blockShift
-		lo, hi := int(ar.off[b]), int(ar.end[b])
-		first := lo
-		for first < hi && now-ar.t[base+first] > tau {
-			first++
-		}
-		if first < hi {
-			n := hi - first
-			*traversed += int64(n)
-			lanes := pr[:n]
-			apss.ScaleLanes(xj, ar.val[base+first:base+hi], lanes)
-			for j := hi - 1; j >= first; j-- {
-				sl := ar.slot[base+j]
-				if foreign && !apss.CrossSide(slots.side[sl], x.Side) {
-					continue
-				}
-				if a.Mark[sl] != a.Epoch {
-					a.Admit(sl)
-					if candidates != nil {
-						*candidates++
-					}
-				}
-				a.Dot[sl] += lanes[j-first]
+	return ar.vdescend(ch, x.Time, tau, func(base, lo, hi int) {
+		*traversed += int64(hi - lo)
+		lanes := pr[:hi-lo]
+		apss.ScaleLanes(xj, ar.val[base+lo:base+hi], lanes)
+		for j := hi - 1; j >= lo; j-- {
+			sl := ar.slot[base+j]
+			if foreign && !apss.CrossSide(slots.side[sl], x.Side) {
+				continue
 			}
+			if a.Mark[sl] != a.Epoch {
+				a.Admit(sl)
+				if candidates != nil {
+					*candidates++
+				}
+			}
+			a.Dot[sl] += lanes[j-lo]
 		}
-		if first > lo {
-			return ar.cutAt(ch, b, int32(first-1))
-		}
-		b = ar.older[b]
-	}
-	return 0
+	})
 }
 
 // scanVec is the vectorized body of the sequential STR-INV scan.
@@ -466,201 +361,109 @@ func (ix *parInv) shardScanVec(sh *invShard, s int, x stream.Item) {
 // Sharded prefix-filtering scans (in-process parEngine shards and the
 // cluster-worker shardEngine). The shard-local admission bound is
 // min(rs1, decay·geo) with geo = ‖x_{≤i}‖ + ‖x_{>i} on other shards‖
-// hoisted per dimension (see parallel.go); both factors of the decayed
-// term are non-negative, so the block's decay bracket brackets the
-// bound, giving whole-block decline and whole-block admit tiers.
+// hoisted per dimension (see parallel.go) — the sequential engine's
+// monotone form with geo for rs2 and θ−boundSlack for θ, so the same
+// admission window gives the same whole-block decline and admit tiers.
+// There is no early kill, hence no decay cache: a shard evaluates the
+// factor only inside a window's undecided band.
 
-// vShardScan carries the per-call plumbing of one shard scan so the
+// vShardScan carries the per-item plumbing of one shard scan so the
 // block walks can be shared between parEngine (per-shard counters, no
 // per-lane candidate count) and shardEngine (engine counters).
 type vShardScan struct {
-	ar           *parena
-	a            *accum.Dense
-	slots        *slotTab
-	kernel       apss.Kernel
-	useAP, useL2 bool
-	theta, tau   float64
-	foreign      bool
-	dk, pr       *[blockCap]float64
-	traversed    *int64
-	candidates   *int64 // nil: admissions not counted per lane
-	qRejects     *int64
+	ar         *parena
+	a          *accum.Dense
+	slots      *slotTab
+	kernel     apss.Kernel
+	useAP      bool
+	cut, tau   float64 // cut is θ−boundSlack
+	foreign    bool
+	now        float64 // the query's time and side
+	side       apss.Side
+	traversed  *int64
+	candidates *int64 // nil: admissions not counted per lane
 }
 
-// admit marks sl admitted, counting it when the scan counts candidates.
-func (v *vShardScan) admit(sl uint32) {
-	v.a.Admit(sl)
-	if v.candidates != nil {
-		*v.candidates++
-	}
-}
-
-// scanOrdered walks a time-ordered chain (useAP == false) newest block
-// first, mirroring the engine's ordered walk. Returns removed entries.
-func (v *vShardScan) scanOrdered(ch *chain, x stream.Item, xj, rs1, geo float64) int {
+// scan walks dimension chain ch for query coordinate value xj under the
+// shard-local bound min(rs1, decay·geo); geo is +Inf without the ℓ2
+// bound. Returns removed entries.
+func (v *vShardScan) scan(ch *chain, xj, rs1, geo float64) int {
 	ar := v.ar
-	now := x.Time
-	for b := ch.newest; b >= 0; {
-		base := int(b) << blockShift
-		lo, hi := int(ar.off[b]), int(ar.end[b])
-		first := lo
-		for first < hi && now-ar.t[base+first] > v.tau {
-			first++
-		}
-		if first < hi {
-			v.block(base, first, hi, 0xffff, true, ar.t[base+hi-1], ar.t[base+first], x, xj, rs1, geo)
-		}
-		if first > lo {
-			return ar.cutAt(ch, b, int32(first-1))
-		}
-		b = ar.older[b]
+	w := admitWindow(v.kernel, rs1, geo, v.cut, v.tau*windowGuard, ch.n)
+	if v.useAP {
+		// Possibly disordered chain: the block-granular compaction walk,
+		// bracketed by tmax only (see engine.vBlock).
+		return ar.vcompact(ch, v.now, v.tau, func(b int32, base, lo, hi int, live uint16) {
+			v.block(base, lo, hi, live, false, v.now-ar.tmax[b], math.Inf(1), w, xj, geo)
+		})
 	}
-	return 0
-}
-
-// scanCompact walks a possibly disordered chain (useAP) through the
-// block-granular compaction. tmax bounds every live lane's decay from
-// above; no lower bracket exists, so the admit tier is available only
-// when the bound is decay-free (STR-AP). Returns removed entries.
-func (v *vShardScan) scanCompact(ch *chain, x stream.Item, xj, rs1, geo float64) int {
-	ar := v.ar
-	now := x.Time
-	return ar.vcompact(ch, now, v.tau, func(b int32, base, lo, hi int, live uint16) {
-		v.block(base, lo, hi, live, false, ar.tmax[b], math.Inf(1), x, xj, rs1, geo)
+	return ar.vdescend(ch, v.now, v.tau, func(base, lo, hi int) {
+		v.block(base, lo, hi, 0, true, v.now-ar.t[base+hi-1], v.now-ar.t[base+lo], w, xj, geo)
 	})
 }
 
-// block processes lanes [lo, hi) restricted to the live mask. ordered
-// selects the scalar visit order (descending for descendCut chains,
-// ascending for compacted ones) and whether tLB is an exact oldest-lane
-// time (+Inf marks "no lower bracket"). tUB is the newest-lane time or
-// the tmax summary; either way Factor(now−tUB) dominates every live
-// lane's decay.
-func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, tUB, tLB float64, x stream.Item, xj, rs1, geo float64) {
-	a := v.a
-	ar := v.ar
-	now := x.Time
-	cut := v.theta - boundSlack
+// block processes lanes [lo, hi) in the scalar kernel's order for the
+// chain discipline; the parameters are engine.vBlock's. The scalar
+// kernel Declines same-side and below-bound lanes alike, so a
+// whole-block Decline reproduces its accumulator exactly; marked lanes
+// always accumulate.
+func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, dtMin, dtMax float64, w apss.Window, xj, geo float64) {
+	a, ar := v.a, v.ar
 	*v.traversed += int64(hi - lo)
-	if live == 0 {
-		return
-	}
+	rejectAll, admitAll := dtMin >= w.Hi, dtMax <= w.Lo
 
-	boundUB := rs1
-	if v.useL2 {
-		if b := v.kernel.Factor(now-tUB) * geo; b < boundUB {
-			boundUB = b
+	j, stop, step := lo, hi, 1
+	if ordered {
+		j, stop, step = hi-1, lo-1, -1
+	}
+	for ; j != stop; j += step {
+		if !ordered && live&(1<<uint(j)) == 0 {
+			continue
 		}
-	}
-	if boundUB < cut {
-		// Decline tier: every unmarked lane fails admission — the scalar
-		// kernel Declines same-side and below-bound lanes alike, so the
-		// whole-block Decline reproduces its accumulator exactly. Marked
-		// lanes still accumulate (shard engines have no early kill).
-		*v.qRejects++
-		v.eachLive(lo, hi, live, ordered, func(j int) {
-			ai := base + j
-			sl := ar.slot[ai]
-			if a.Dead[sl] == a.Epoch {
-				return
-			}
-			if a.Mark[sl] != a.Epoch {
-				a.Decline(sl)
-				return
-			}
-			a.Dot[sl] += xj * ar.val[ai]
-		})
-		return
-	}
-
-	admitAll := !v.useL2 // decay-free bound: surviving the tier admits all
-	if v.useL2 && !math.IsInf(tLB, 1) {
-		boundLB := rs1
-		if b := v.kernel.Factor(now-tLB) * geo; b < boundLB {
-			boundLB = b
-		}
-		admitAll = boundLB >= cut
-	}
-	if admitAll {
-		// Admit tier: no unmarked cross-side lane can fail admission, so
-		// no lane needs its decay at all.
-		v.eachLive(lo, hi, live, ordered, func(j int) {
-			ai := base + j
-			sl := ar.slot[ai]
-			if a.Dead[sl] == a.Epoch {
-				return
-			}
-			if a.Mark[sl] != a.Epoch {
-				if v.foreign && !apss.CrossSide(v.slots.side[sl], x.Side) {
-					a.Decline(sl)
-					return
-				}
-				v.admit(sl)
-			}
-			a.Dot[sl] += xj * ar.val[ai]
-		})
-		return
-	}
-
-	n := hi - lo
-	dk := v.dk[:n]
-	apss.FactorLanes(v.kernel, now, ar.t[base+lo:base+hi], dk)
-	pr := v.pr[:n]
-	apss.ScaleLanes(xj, ar.val[base+lo:base+hi], pr)
-	v.eachLive(lo, hi, live, ordered, func(j int) {
 		ai := base + j
 		sl := ar.slot[ai]
 		if a.Dead[sl] == a.Epoch {
-			return
+			continue
 		}
 		if a.Mark[sl] != a.Epoch {
-			if v.foreign && !apss.CrossSide(v.slots.side[sl], x.Side) {
+			if rejectAll || v.foreign && !apss.CrossSide(v.slots.side[sl], v.side) {
 				a.Decline(sl)
-				return
+				continue
 			}
-			bound := rs1
-			if b := dk[j-lo] * geo; b < bound {
-				bound = b
+			if !admitAll {
+				dt := v.now - ar.t[ai]
+				if dt >= w.Hi || dt > w.Lo && v.kernel.Factor(dt)*geo < v.cut {
+					a.Decline(sl)
+					continue
+				}
 			}
-			if bound < cut {
-				a.Decline(sl)
-				return
+			a.Admit(sl)
+			if v.candidates != nil {
+				*v.candidates++
 			}
-			v.admit(sl)
 		}
-		a.Dot[sl] += pr[j-lo]
-	})
-}
-
-// eachLive visits the live lanes of [lo, hi) in the scalar kernel's
-// order for the chain discipline.
-func (v *vShardScan) eachLive(lo, hi int, live uint16, ordered bool, lane func(j int)) {
-	if ordered {
-		for j := hi - 1; j >= lo; j-- {
-			lane(j)
-		}
-		return
-	}
-	for j := lo; j < hi; j++ {
-		if live&(1<<uint(j)) != 0 {
-			lane(j)
-		}
+		a.Dot[sl] += xj * ar.val[ai]
 	}
 }
 
-// candGenVec is the vectorized body of shardEngine.candGen: the
-// cluster worker's share of Algorithm 7 over owned dimensions.
-func (e *shardEngine) candGenVec(x stream.Item) {
+// candGenVec is the block-kernel body of shardEngine.candGen: the
+// cluster worker's share of Algorithm 7 over owned dimensions. pnx is
+// x.Vec.PrefixNorms().
+func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
 	a := &e.acc
 	a.Begin(e.slots.span())
 	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if len(dims) == 0 {
 		return
 	}
-	pnx := x.Vec.PrefixNorms()
-	var sqAbove []float64 // sum of squared values strictly past position i
+	// sqAbove[i] is the sum of squared values strictly past position i.
+	var sqAbove []float64
 	if e.useL2 {
-		sqAbove = make([]float64, len(vals))
+		if cap(e.sqAbove) < len(vals) {
+			e.sqAbove = make([]float64, len(vals))
+		}
+		sqAbove = e.sqAbove[:len(vals)]
+		sqAbove[len(vals)-1] = 0
 		for i := len(vals) - 2; i >= 0; i-- {
 			sqAbove[i] = sqAbove[i+1] + vals[i+1]*vals[i+1]
 		}
@@ -676,11 +479,10 @@ func (e *shardEngine) candGenVec(x stream.Item) {
 
 	v := vShardScan{
 		ar: &e.ar, a: a, slots: &e.slots,
-		kernel: e.kernel, useAP: e.useAP, useL2: e.useL2,
-		theta: e.p.Theta, tau: e.tau, foreign: e.foreign,
-		dk: &e.dkLanes, pr: &e.prLanes,
+		kernel: e.kernel, useAP: e.useAP,
+		cut: e.p.Theta - boundSlack, tau: e.tau, foreign: e.foreign,
+		now: x.Time, side: x.Side,
 		traversed: &e.c.EntriesTraversed, candidates: &e.c.Candidates,
-		qRejects: &e.qRejects,
 	}
 	for i := len(dims) - 1; i >= 0; i-- {
 		d, xj := dims[i], vals[i]
@@ -688,7 +490,7 @@ func (e *shardEngine) candGenVec(x stream.Item) {
 			continue
 		}
 		if ch := e.lists[d]; ch != nil {
-			geo := 0.0
+			geo := math.Inf(1)
 			if e.useL2 {
 				cross := sqAbove[i] - ownSqAbove
 				if cross < 0 {
@@ -696,13 +498,7 @@ func (e *shardEngine) candGenVec(x stream.Item) {
 				}
 				geo = pnx[i+1] + math.Sqrt(cross)
 			}
-			var removed int
-			if e.useAP {
-				removed = v.scanCompact(ch, x, xj, rs1, geo)
-			} else {
-				removed = v.scanOrdered(ch, x, xj, rs1, geo)
-			}
-			e.c.ExpiredEntries += int64(removed)
+			e.c.ExpiredEntries += int64(v.scan(ch, xj, rs1, geo))
 			if ch.n == 0 {
 				delete(e.lists, d)
 			}
@@ -714,7 +510,7 @@ func (e *shardEngine) candGenVec(x stream.Item) {
 	}
 }
 
-// shardScanVec is the vectorized body of parEngine.shardScan: one
+// shardScanVec is the block-kernel body of parEngine.shardScan: one
 // in-process shard's share of Algorithm 7. Candidates are counted on
 // the merged accumulator, not here.
 func (e *parEngine) shardScanVec(sh *parShard, s int, x stream.Item, pnx, sqAbove, mh []float64, rs1Total float64) {
@@ -725,11 +521,10 @@ func (e *parEngine) shardScanVec(sh *parShard, s int, x stream.Item, pnx, sqAbov
 
 	v := vShardScan{
 		ar: &sh.ar, a: &sh.acc, slots: &e.slots,
-		kernel: e.kernel, useAP: e.useAP, useL2: e.useL2,
-		theta: e.p.Theta, tau: e.tau, foreign: e.foreign,
-		dk: &sh.dkLanes, pr: &sh.prLanes,
+		kernel: e.kernel, useAP: e.useAP,
+		cut: e.p.Theta - boundSlack, tau: e.tau, foreign: e.foreign,
+		now: x.Time, side: x.Side,
 		traversed: &sh.traversed, candidates: nil,
-		qRejects: &sh.qRejects,
 	}
 	for i := len(dims) - 1; i >= 0; i-- {
 		d, xj := dims[i], vals[i]
@@ -737,7 +532,7 @@ func (e *parEngine) shardScanVec(sh *parShard, s int, x stream.Item, pnx, sqAbov
 			continue
 		}
 		if ch := sh.lists[d]; ch != nil {
-			geo := 0.0
+			geo := math.Inf(1)
 			if e.useL2 {
 				cross := sqAbove[i] - ownSqAbove
 				if cross < 0 {
@@ -745,13 +540,7 @@ func (e *parEngine) shardScanVec(sh *parShard, s int, x stream.Item, pnx, sqAbov
 				}
 				geo = pnx[i+1] + math.Sqrt(cross)
 			}
-			var removed int
-			if e.useAP {
-				removed = v.scanCompact(ch, x, xj, rs1, geo)
-			} else {
-				removed = v.scanOrdered(ch, x, xj, rs1, geo)
-			}
-			sh.expired += int64(removed)
+			sh.expired += int64(v.scan(ch, xj, rs1, geo))
 			if ch.n == 0 {
 				delete(sh.lists, d)
 			}

@@ -13,36 +13,26 @@ import (
 )
 
 // checkBlockSummaries asserts the admissibility invariant of the
-// quantized cheap-reject tier on every live block of ch: the
-// dequantized summaries and tmax are upper bounds on the live entries'
-// |val|, pnorm, and t. (They may over-state — summaries are monotone
-// maxima over ever-held entries — but must never under-state, or a
-// quantized reject could drop a real candidate.)
+// disordered-chain decay bracket on every live block of ch: tmax is an
+// upper bound on the live entries' t. (It may over-state — it is a
+// monotone maximum over ever-held entries — but must never under-state,
+// or a time-threshold reject could drop a real candidate.)
 func checkBlockSummaries(t *testing.T, ar *parena, ch *chain) {
 	t.Helper()
 	for b := ch.oldest; b >= 0; b = ar.newer[b] {
 		base := int(b) << blockShift
-		ubVal := apss.Dequant8(ar.qval[b])
-		ubPn := apss.Dequant8(ar.qpn[b])
 		for i := ar.off[b]; i < ar.end[b]; i++ {
-			ai := base + int(i)
-			if av := math.Abs(ar.val[ai]); av > ubVal {
-				t.Fatalf("block %d: |val|=%v exceeds dequantized summary %v", b, av, ubVal)
-			}
-			if ar.pnorm[ai] > ubPn {
-				t.Fatalf("block %d: pnorm=%v exceeds dequantized summary %v", b, ar.pnorm[ai], ubPn)
-			}
-			if ar.t[ai] > ar.tmax[b] {
+			if ai := base + int(i); ar.t[ai] > ar.tmax[b] {
 				t.Fatalf("block %d: t=%v exceeds tmax %v", b, ar.t[ai], ar.tmax[b])
 			}
 		}
 	}
 }
 
-// TestArenaSummariesOrdered: summaries stay admissible on a
-// time-ordered chain through pushes, oldest-end sweeps, and newest-end
-// cuts — including blocks recycled through the freelist, whose
-// summaries must reset on alloc.
+// TestArenaSummariesOrdered: tmax stays admissible on a time-ordered
+// chain through pushes, oldest-end sweeps, and newest-end cuts —
+// including blocks recycled through the freelist, whose tmax must reset
+// on alloc.
 func TestArenaSummariesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ar := &parena{withPnorm: true}
@@ -62,16 +52,12 @@ func TestArenaSummariesOrdered(t *testing.T) {
 			}
 		}
 		checkBlockSummaries(t, ar, ch)
-		if ar.qbad {
-			t.Fatal("qbad latched on in-range entries")
-		}
 	}
 }
 
-// TestArenaSummariesCompacted: summaries stay admissible on a
-// disordered (AP-style) chain through compact and vcompact, whose
-// write-cursor moves fold surviving entries into their destination
-// block's summaries.
+// TestArenaSummariesCompacted: tmax stays admissible on a disordered
+// (AP-style) chain through compact and vcompact, whose write-cursor
+// moves fold surviving entries into their destination block's tmax.
 func TestArenaSummariesCompacted(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ar := &parena{withPnorm: true}
@@ -91,88 +77,193 @@ func TestArenaSummariesCompacted(t *testing.T) {
 	}
 }
 
-// TestArenaQbadLatch: entries outside the admissible quantization
-// domain ([0,1] values and prefix norms — guaranteed by unit vectors,
-// violable by out-of-contract input) must permanently disable the
-// quantized tier rather than corrupt its soundness.
-func TestArenaQbadLatch(t *testing.T) {
+// runKernelPair feeds items to two indexes that differ only in the scan
+// kernel and requires bit-identical matches and counters. after, if not
+// nil, is called on each index after every item.
+func runKernelPair(t *testing.T, kind Kind, p apss.Params, opts Options, items []stream.Item, after func(ix Index, i int)) {
+	t.Helper()
+	run := func(scalar bool) ([]apss.Match, metrics.Counters) {
+		var c metrics.Counters
+		o := opts
+		o.Counters = &c
+		o.Ablations.ScalarKernel = scalar
+		ix, err := New(kind, p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []apss.Match
+		for i, it := range items {
+			ms, err := ix.Add(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ms...)
+			if after != nil {
+				after(ix, i)
+			}
+		}
+		return out, c
+	}
+	want, wc := run(true)
+	got, gc := run(false)
+	if !apss.EqualMatchSets(got, want, 0) {
+		onlyG, onlyW := apss.DiffMatchSets(got, want)
+		t.Fatalf("block kernel ≠ scalar: %d vs %d matches (only-block %v, only-scalar %v)",
+			len(got), len(want), onlyG, onlyW)
+	}
+	if gc != wc {
+		t.Fatalf("counters diverge:\nblock  %+v\nscalar %+v", gc, wc)
+	}
+}
+
+// TestOutOfContractParity: floats outside the unit-vector contract —
+// values and prefix norms past 1, negative values, NaN, and (reachable
+// only by corrupting the index, as a bad checkpoint could) negative
+// prefix norms — void the pruning bounds' soundness for both kernels
+// alike, but must not make the block kernel's tiers decide anything the
+// scalar kernel's products would not: the tiers' monotonicity arguments
+// must hold for whatever floats arrive, or fall back to the exact test.
+func TestOutOfContractParity(t *testing.T) {
+	// A long window over a fast decay: blocks whose lanes' decays differ
+	// widely, where a bracket applied to the wrong sign shows.
+	p := apss.Params{Theta: 0.2, Lambda: 0.05}
+	// negatePnorms flips the sign of every stored prefix norm after every
+	// fifth item. Both kernels keep identical arenas, so they see the
+	// same corruption.
+	negatePnorms := func(ix Index, i int) {
+		if e, ok := ix.(*engine); ok && i%5 == 0 {
+			for k := range e.ar.pnorm {
+				e.ar.pnorm[k] = -e.ar.pnorm[k]
+			}
+		}
+	}
 	for _, tc := range []struct {
-		name      string
-		val, pn   float64
-		wantLatch bool
+		name  string
+		scale []float64 // per-coordinate multipliers applied to every 5th vector
+		after func(ix Index, i int)
 	}{
-		{"in-range", 0.9, 0.8, false},
-		{"val-over", 1.5, 0.5, true},
-		{"val-neg-over", -1.5, 0.5, true},
-		{"pnorm-over", 0.5, 1.2, true},
-		{"pnorm-neg", 0.5, -0.1, true},
-		{"val-nan", math.NaN(), 0.5, true},
+		{"in-range", []float64{1}, nil},
+		{"val-over", []float64{1.5}, nil},
+		{"val-neg-over", []float64{-1.5, 1.5}, nil},
+		{"pnorm-over", []float64{3, 0.1}, nil},
+		{"pnorm-neg", []float64{1}, negatePnorms},
+		{"val-nan", []float64{math.NaN(), 1}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ar := &parena{withPnorm: true}
-			ch := newChain()
-			ar.push(ch, 0, 1, tc.val, tc.pn)
-			if ar.qbad != tc.wantLatch {
-				t.Fatalf("qbad = %v, want %v", ar.qbad, tc.wantLatch)
-			}
-			if tc.wantLatch {
-				// Latched for good: in-range entries don't clear it.
-				ar.push(ch, 1, 2, 0.5, 0.5)
-				if !ar.qbad {
-					t.Fatal("qbad cleared by in-range push")
+			items := fuzzItems(41, 300)
+			for i := 0; i < len(items); i += 5 {
+				v := items[i].Vec.Clone()
+				for k := range v.Vals {
+					v.Vals[k] *= tc.scale[k%len(tc.scale)]
 				}
+				items[i].Vec = v
+			}
+			for _, opts := range []Options{{}, {Shard: Shard{ID: 0, N: 1}}} {
+				runKernelPair(t, L2, p, opts, items, tc.after)
 			}
 		})
 	}
 }
 
-// TestQuantTiersEffective: on a match-sparse stream (high θ over a
-// realistic profile) the quantized tiers must actually fire — the
-// parity tests prove they are sound, this proves they are not dead
-// code — and the live index's block summaries must stay admissible
-// end to end.
-func TestQuantTiersEffective(t *testing.T) {
-	items := datagen.RCV1Profile().Scaled(0.05).Generate(3)
-	p := apss.Params{Theta: 0.9, Lambda: 0.1}
-	t.Run("engine", func(t *testing.T) {
-		for _, kind := range []Kind{L2, L2AP} {
-			ix, err := New(kind, p, Options{})
+// countingKernel counts Factor evaluations.
+type countingKernel struct {
+	apss.Kernel
+	calls *int64
+}
+
+func (k countingKernel) Factor(dt float64) float64 {
+	*k.calls++
+	return k.Kernel.Factor(dt)
+}
+
+// liveBlocks counts the blocks of x's chains whose newest lane is within
+// the horizon at x's time — the blocks a time-ordered scan visits.
+func liveBlocks(ar *parena, lists map[uint32]*chain, x stream.Item, tau float64) (blocks, chains int64) {
+	for _, d := range x.Vec.Dims {
+		ch := lists[d]
+		if ch == nil {
+			continue
+		}
+		chains++
+		for b := ch.newest; b >= 0; b = ar.older[b] {
+			if x.Time-ar.t[int(b)<<blockShift+int(ar.end[b])-1] <= tau {
+				blocks++
+			}
+		}
+	}
+	return blocks, chains
+}
+
+// TestTimeTiersEffective: the parity tests prove the time-threshold
+// tiers and the per-slot decay cache sound; this proves they do what
+// they are for. Through a counting kernel, every probe must evaluate
+// Factor at most once per candidate it admits and once per block it
+// visits (the newest-lane bracket of the first-touch kill), plus two
+// per scanned coordinate — the probes that verify its admission window,
+// or the rejected entries of a chain too short to build one for — never
+// once per posting entry, which is what the scalar kernel pays.
+func TestTimeTiersEffective(t *testing.T) {
+	items := datagen.RCV1Profile().Scaled(0.25).Generate(3)
+	p := apss.Params{Theta: 0.7, Lambda: 0.001}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"engine", Options{}},
+		{"shard", Options{Shard: Shard{ID: 0, N: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls, scalarCalls int64
+			var c metrics.Counters
+			opts := tc.opts
+			opts.Counters = &c
+			opts.Kernel = countingKernel{apss.Exponential{Lambda: p.Lambda}, &calls}
+			ix, err := New(L2, p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := ix.(*engine)
-			for _, it := range items {
-				if _, err := e.Add(it); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if e.ar.qbad {
-				t.Fatalf("%v: qbad latched on unit vectors", kind)
-			}
-			if e.qRejects+e.qKills == 0 {
-				t.Fatalf("%v: quantized tiers never fired (rejects=%d kills=%d)",
-					kind, e.qRejects, e.qKills)
-			}
-			for _, ch := range e.lists {
-				checkBlockSummaries(t, &e.ar, ch)
-			}
-		}
-	})
-	t.Run("shard", func(t *testing.T) {
-		ix, err := New(L2, p, Options{Shard: Shard{ID: 0, N: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := ix.(*shardEngine)
-		for _, it := range items {
-			if _, err := e.Add(it); err != nil {
+			opts.Counters = nil
+			opts.Kernel = countingKernel{apss.Exponential{Lambda: p.Lambda}, &scalarCalls}
+			opts.Ablations.ScalarKernel = true
+			ref, err := New(L2, p, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if e.qRejects == 0 {
-			t.Fatal("shard engine: block decline tier never fired")
-		}
-	})
+			var ar *parena
+			var lists map[uint32]*chain
+			var tau float64
+			switch e := ix.(type) {
+			case *engine:
+				ar, lists, tau = &e.ar, e.lists, e.tau
+			case *shardEngine:
+				ar, lists, tau = &e.ar, e.lists, e.tau
+			}
+			for _, it := range items {
+				blocks, chains := liveBlocks(ar, lists, it, tau)
+				calls0, cands0 := calls, c.Candidates
+				if _, err := ix.Add(it); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Add(it); err != nil {
+					t.Fatal(err)
+				}
+				used, budget := calls-calls0, c.Candidates-cands0+blocks+2*chains
+				if used > budget {
+					t.Fatalf("item %d: %d Factor calls for %d candidates, %d blocks, %d chains",
+						it.ID, used, c.Candidates-cands0, blocks, chains)
+				}
+			}
+			if c.Candidates == 0 || calls == 0 {
+				t.Fatalf("degenerate stream: %d candidates, %d Factor calls", c.Candidates, calls)
+			}
+			// The scalar kernel evaluates one factor per live entry it meets
+			// and one more per candidate it verifies.
+			if 3*calls > scalarCalls {
+				t.Fatalf("%d Factor calls against the scalar kernel's %d: the tiers are not skipping entries",
+					calls, scalarCalls)
+			}
+		})
+	}
 }
 
 // TestScalarKernelParity pins the vectorized kernels to the frozen
@@ -208,36 +299,21 @@ func TestScalarKernelParity(t *testing.T) {
 					items, mode = sided, "foreign"
 				}
 				t.Run(fmt.Sprintf("%v/%s/%s", kind, d.name, mode), func(t *testing.T) {
-					run := func(scalar bool) ([]apss.Match, metrics.Counters) {
-						var c metrics.Counters
-						opts := d.opts
-						opts.Foreign = foreign
-						opts.Counters = &c
-						opts.Ablations = Ablations{ScalarKernel: scalar}
-						ix, err := New(kind, p, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var out []apss.Match
-						for _, it := range items {
-							ms, err := ix.Add(it)
-							if err != nil {
-								t.Fatal(err)
-							}
-							out = append(out, ms...)
-						}
-						return out, c
-					}
-					want, wc := run(true)
-					got, gc := run(false)
-					if !apss.EqualMatchSets(got, want, 0) {
-						onlyG, onlyW := apss.DiffMatchSets(got, want)
-						t.Fatalf("vectorized ≠ scalar: %d vs %d matches (only-vec %v, only-scalar %v)",
-							len(got), len(want), onlyG, onlyW)
-					}
-					if gc != wc {
-						t.Fatalf("counters diverge:\nvec    %+v\nscalar %+v", gc, wc)
-					}
+					opts := d.opts
+					opts.Foreign = foreign
+					runKernelPair(t, kind, p, opts, items, nil)
+				})
+				// The tiers read the decay only through Factor and Horizon,
+				// so a heavy-tailed kernel must pass the same cell (INV
+				// and L2 accept any kernel).
+				if kind != INV && kind != L2 {
+					continue
+				}
+				t.Run(fmt.Sprintf("%v/%s/%s/poly", kind, d.name, mode), func(t *testing.T) {
+					opts := d.opts
+					opts.Foreign = foreign
+					opts.Kernel = apss.Polynomial{Alpha: 0.3, P: 1.5}
+					runKernelPair(t, kind, p, opts, items, nil)
 				})
 			}
 		}

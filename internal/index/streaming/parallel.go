@@ -67,12 +67,6 @@ type parShard struct {
 	acc       accum.Dense
 	traversed int64
 	expired   int64
-
-	// Vectorized-kernel scratch and quantized-tier stats, merged into
-	// the engine's totals after the join barrier (see engine).
-	dkLanes  [blockCap]float64
-	prLanes  [blockCap]float64
-	qRejects int64
 }
 
 // parEngine is the sharded counterpart of engine: STR-L2, STR-L2AP, and
@@ -92,9 +86,6 @@ type parEngine struct {
 
 	shards []*parShard
 	macc   accum.Dense // merged accumulator, coordinator-owned
-
-	// Quantized-tier stats, summed over the shards at merge time.
-	qRejects int64
 
 	// lastTouch tracks the newest arrival time per dimension, driving
 	// the horizon sweep (see sweepClock).
@@ -159,12 +150,13 @@ func (e *parEngine) AddTo(x stream.Item, emit apss.Sink) error {
 		}
 	}
 
-	e.candGen(x)
+	pn := x.Vec.PrefixNorms()
+	e.candGen(x, pn)
 	g := apss.NewGate(emit)
 	e.candVer(x, &g)
 	e.c.Pairs += g.Emitted()
 
-	e.indexVector(x)
+	e.indexVector(x, pn)
 	if e.useAP {
 		e.mhatUpdate(x)
 	}
@@ -178,14 +170,7 @@ func (e *parEngine) AddTo(x stream.Item, emit apss.Sink) error {
 func (e *parEngine) advanceTo(t float64) {
 	e.begun = true
 	e.now = t
-	horizonStart := t - e.tau
-	e.res.PruneWhile(func(_ uint64, m *smeta) bool {
-		if m.t < horizonStart {
-			e.slots.release(m.slot)
-			return true
-		}
-		return false
-	})
+	e.expire(t, e.tau)
 	e.maybeSweep()
 }
 
@@ -204,8 +189,8 @@ func (e *parEngine) Advance(t float64) error {
 
 // candGen fans the reverse coordinate scan out to the shards and merges
 // the per-shard accumulators into macc, dropping candidates any shard
-// proved below threshold.
-func (e *parEngine) candGen(x stream.Item) {
+// proved below threshold. pnx is x.Vec.PrefixNorms().
+func (e *parEngine) candGen(x stream.Item, pnx []float64) {
 	e.macc.Begin(e.slots.span())
 	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if len(dims) == 0 {
@@ -213,7 +198,6 @@ func (e *parEngine) candGen(x stream.Item) {
 	}
 
 	// Shared read-only per-position tables.
-	pnx := x.Vec.PrefixNorms()
 	var sqAbove []float64 // sum of squared values strictly past position i
 	if e.useL2 {
 		sqAbove = make([]float64, len(vals))
@@ -280,8 +264,7 @@ func (e *parEngine) candGen(x stream.Item) {
 		sh := e.shards[s]
 		e.c.EntriesTraversed += sh.traversed
 		e.c.ExpiredEntries += sh.expired
-		e.qRejects += sh.qRejects
-		sh.traversed, sh.expired, sh.qRejects = 0, 0, 0
+		sh.traversed, sh.expired = 0, 0
 		m.MergeCands(&sh.acc)
 	}
 	e.c.Candidates += int64(len(m.Cands))
@@ -320,9 +303,8 @@ func (e *parEngine) candVer(x stream.Item, g *apss.Gate) {
 
 	verify := func(cs []uint32, dots *int64, emit func(apss.Match)) {
 		for _, sl := range cs {
-			id := e.slots.id[sl]
-			meta, ok := e.res.Get(id)
-			if !ok {
+			meta := e.residual(sl)
+			if meta == nil {
 				continue
 			}
 			dot := e.macc.Dot[sl]
@@ -341,7 +323,7 @@ func (e *parEngine) candVer(x stream.Item, g *apss.Gate) {
 			aDot := suffixDotDesc(x.Vec, meta.vec, meta.boundary)
 			raw := aDot + vec.Dot(x.Vec, meta.vec.SliceByIndex(0, meta.boundary))
 			if sim := raw * decay; sim >= theta {
-				emit(apss.Match{X: x.ID, Y: id, Sim: sim, Dot: raw, DT: dt})
+				emit(apss.Match{X: x.ID, Y: e.slots.id[sl], Sim: sim, Dot: raw, DT: dt})
 			}
 		}
 	}
@@ -506,9 +488,9 @@ type parInv struct {
 	scalar bool
 	c      *metrics.Counters
 	shards []*invShard
-	slots   slotTab
-	live    cbuf.Ring[uint32]
-	macc    accum.Dense
+	slots  slotTab
+	live   cbuf.Ring[uint32]
+	macc   accum.Dense
 
 	clock sweepClock
 	now   float64

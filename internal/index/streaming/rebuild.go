@@ -53,7 +53,7 @@ func (e *engine) insert(x stream.Item) error {
 			e.reindex(changed)
 		}
 	}
-	e.indexVector(x)
+	e.indexVector(x, x.Vec.PrefixNorms())
 	if e.useAP {
 		e.mhatUpdate(x)
 	}
@@ -72,7 +72,7 @@ func (e *parEngine) insert(x stream.Item) error {
 			e.reindex(changed)
 		}
 	}
-	e.indexVector(x)
+	e.indexVector(x, x.Vec.PrefixNorms())
 	if e.useAP {
 		e.mhatUpdate(x)
 	}

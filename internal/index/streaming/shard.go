@@ -110,10 +110,8 @@ type shardEngine struct {
 	lists map[uint32]*chain
 	acc   accum.Dense
 
-	// Vectorized-kernel scratch and quantized-tier stats (see engine).
-	dkLanes  [blockCap]float64
-	prLanes  [blockCap]float64
-	qRejects int64
+	// sqAbove is candGenVec's per-item suffix-mass scratch.
+	sqAbove []float64
 
 	// m̂λ over ALL dimensions of the items this worker observed — not
 	// just owned ones: rs1 needs m̂λ at every coordinate of the query.
@@ -185,12 +183,13 @@ func (e *shardEngine) AddTo(x stream.Item, emit apss.Sink) error {
 		}
 	}
 
-	e.candGen(x)
+	pn := x.Vec.PrefixNorms()
+	e.candGen(x, pn)
 	g := apss.NewGate(emit)
 	e.candVer(x, &g)
 	e.c.Pairs += g.Emitted()
 
-	e.indexVector(x)
+	e.indexVector(x, pn)
 	if e.useAP {
 		e.mhatUpdate(x)
 	}
@@ -202,14 +201,7 @@ func (e *shardEngine) AddTo(x stream.Item, emit apss.Sink) error {
 func (e *shardEngine) advanceTo(t float64) {
 	e.begun = true
 	e.now = t
-	horizonStart := t - e.tau
-	e.res.PruneWhile(func(_ uint64, m *smeta) bool {
-		if m.t < horizonStart {
-			e.slots.release(m.slot)
-			return true
-		}
-		return false
-	})
+	e.expire(t, e.tau)
 	e.maybeSweep()
 }
 
@@ -229,13 +221,14 @@ func (e *shardEngine) Advance(t float64) error {
 // coordinates in reverse order, accumulating exact partial dot products
 // for candidates that survive the shard-local admission bounds — the
 // same bounds parEngine.shardScan applies, against this worker's view.
-// Runs on the vectorized block kernel (kernelv.go) unless the
-// ScalarKernel ablation selects the frozen oracle (kernel_scalar.go).
-func (e *shardEngine) candGen(x stream.Item) {
+// Runs on the block kernel (kernelv.go) unless the ScalarKernel ablation
+// selects the frozen oracle (kernel_scalar.go). pnx is
+// x.Vec.PrefixNorms().
+func (e *shardEngine) candGen(x stream.Item, pnx []float64) {
 	if e.scalar {
 		e.candGenScalar(x)
 	} else {
-		e.candGenVec(x)
+		e.candGenVec(x, pnx)
 	}
 }
 
@@ -251,9 +244,8 @@ func (e *shardEngine) candVer(x stream.Item, g *apss.Gate) {
 		if a.Dead[sl] == a.Epoch {
 			continue
 		}
-		id := e.slots.id[sl]
-		meta, ok := e.res.Get(id)
-		if !ok {
+		meta := e.residual(sl)
+		if meta == nil {
 			continue
 		}
 		dt := x.Time - meta.t
@@ -262,7 +254,7 @@ func (e *shardEngine) candVer(x stream.Item, g *apss.Gate) {
 		aDot := suffixDotDesc(x.Vec, meta.vec, meta.boundary)
 		raw := aDot + vec.Dot(x.Vec, meta.vec.SliceByIndex(0, meta.boundary))
 		if sim := raw * decay; sim >= theta {
-			g.Emit(apss.Match{X: x.ID, Y: id, Sim: sim, Dot: raw, DT: dt})
+			g.Emit(apss.Match{X: x.ID, Y: e.slots.id[sl], Sim: sim, Dot: raw, DT: dt})
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // shape the library offers: worker counts, cluster shards, self vs
 // foreign joins, and bounded disorder. "Parity" here is the strong
 // form the kernel files promise — bit-identical match sets at eps 0
-// AND identical pruning Counters, so the quantized cheap-reject tier
-// is provably a shortcut, never a behavior change.
+// AND identical pruning Counters, so the time-threshold tiers and the
+// per-slot decay cache are provably shortcuts, never a behavior change.
 
 // kernelDeploy names one deployment shape of the streaming index.
 type kernelDeploy struct {
@@ -61,8 +61,9 @@ func kernelShardTargets(kind streaming.Kind, n int, it Item) []int {
 // implementation and returns the emitted matches and final counters.
 // delta > 0 shuffles the stream within delta and fronts the index with
 // a reorder buffer, so the kernels see the arrival patterns the
-// event-time layer actually produces.
-func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, d kernelDeploy, foreign, scalar bool, delta float64, items []Item) ([]apss.Match, metrics.Counters) {
+// event-time layer actually produces. kernel overrides the exponential
+// decay (nil keeps it).
+func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, kernel apss.Kernel, d kernelDeploy, foreign, scalar bool, delta float64, items []Item) ([]apss.Match, metrics.Counters) {
 	t.Helper()
 	var c metrics.Counters
 	ab := streaming.Ablations{ScalarKernel: scalar}
@@ -73,7 +74,7 @@ func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, d kernelDeploy,
 		for i := range workers {
 			ix, err := streaming.New(kind, p, streaming.Options{
 				Shard: streaming.Shard{ID: i, N: d.shards}, Foreign: foreign,
-				Ablations: ab, Counters: &c,
+				Kernel: kernel, Ablations: ab, Counters: &c,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +100,7 @@ func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, d kernelDeploy,
 		}
 	} else {
 		ix, err := streaming.New(kind, p, streaming.Options{
-			Workers: d.workers, Foreign: foreign, Ablations: ab, Counters: &c,
+			Workers: d.workers, Foreign: foreign, Kernel: kernel, Ablations: ab, Counters: &c,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +154,8 @@ func TestKernelParityGrid(t *testing.T) {
 				for _, delta := range []float64{0, 3} {
 					name := fmt.Sprintf("%v/%s/%s/delta%v", kind, d.name, mode, delta)
 					t.Run(name, func(t *testing.T) {
-						want, wc := runKernel(t, kind, p, d, foreign, true, delta, items)
-						got, gc := runKernel(t, kind, p, d, foreign, false, delta, items)
+						want, wc := runKernel(t, kind, p, nil, d, foreign, true, delta, items)
+						got, gc := runKernel(t, kind, p, nil, d, foreign, false, delta, items)
 						if !apss.EqualMatchSets(got, want, 0) {
 							onlyG, onlyW := apss.DiffMatchSets(got, want)
 							t.Fatalf("vectorized ≠ scalar: %d vs %d matches (only-vec %v, only-scalar %v)",
@@ -211,12 +212,12 @@ func kernelCkptRun(t *testing.T, kind streaming.Kind, p apss.Params, workers int
 	return out, c
 }
 
-// TestKernelParityCheckpoint proves the block summaries feeding the
-// quantized tier are derived state: a snapshot written by either
-// kernel loads into either kernel with no format change, the rebuilt
-// summaries steer the continuation to the exact matches of an
-// uncheckpointed scalar run, and all four before×after kernel pairs
-// agree on the continuation's Counters.
+// TestKernelParityCheckpoint proves the block kernel's extra state — the
+// tmax summaries, the slot-addressed residual table — is derived state:
+// a snapshot written by either kernel loads into either kernel with no
+// format change, the rebuilt state steers the continuation to the exact
+// matches of an uncheckpointed scalar run, and all four before×after
+// kernel pairs agree on the continuation's Counters.
 func TestKernelParityCheckpoint(t *testing.T) {
 	p := apss.Params{Theta: 0.6, Lambda: 0.1}
 	base := fuzzForeignItems(5, 200)
@@ -279,15 +280,16 @@ func TestKernelParityCheckpoint(t *testing.T) {
 }
 
 // FuzzKernelParity is the differential fuzz target for the kernel
-// rewrite: a fuzz-chosen stream, kind, deployment, join mode, and
-// disorder bound must produce bit-identical matches and Counters under
-// the vectorized and frozen scalar kernels.
+// rewrite: a fuzz-chosen stream, kind, deployment, join mode, decay
+// kernel, and disorder bound must produce bit-identical matches and
+// Counters under the block and frozen scalar kernels.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(42), uint8(4), uint8(1), uint8(1))
 	f.Add(uint64(7), uint8(8), uint8(2), uint8(2))
 	f.Add(uint64(1234), uint8(21), uint8(1), uint8(3))
-	f.Add(uint64(99), uint8(16), uint8(0), uint8(2))
+	f.Add(uint64(5), uint8(25), uint8(1), uint8(0))
+	f.Add(uint64(77), uint8(42), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, cfg, thetaSel, deltaSel uint8) {
 		items := fuzzForeignItems(seed, 60)
 		if len(items) == 0 {
@@ -302,10 +304,16 @@ func FuzzKernelParity(f *testing.F) {
 				items[i].Side = SideA
 			}
 		}
+		// The tiers read the decay only through Kernel.Factor and
+		// Kernel.Horizon; L2AP insists on the exponential.
+		var kernel apss.Kernel
+		if (cfg/24)%2 == 1 && kind != streaming.L2AP {
+			kernel = apss.Polynomial{Alpha: 0.2, P: 1.5}
+		}
 		delta := []float64{0, 0.5, 2, 10}[int(deltaSel)%4]
 		p := apss.Params{Theta: theta, Lambda: 0.1}
-		want, wc := runKernel(t, kind, p, d, foreign, true, delta, items)
-		got, gc := runKernel(t, kind, p, d, foreign, false, delta, items)
+		want, wc := runKernel(t, kind, p, kernel, d, foreign, true, delta, items)
+		got, gc := runKernel(t, kind, p, kernel, d, foreign, false, delta, items)
 		if !apss.EqualMatchSets(got, want, 0) {
 			t.Fatalf("vectorized ≠ scalar: %d vs %d matches (seed %d cfg %d θ %v δ %v)",
 				len(got), len(want), seed, cfg, theta, delta)
