@@ -67,9 +67,11 @@ bench-gate:
 # parity, reorder-vs-sorted parity, cluster-vs-sequential parity,
 # block-vs-scalar kernel parity, admission window ≡ scalar predicate,
 # adaptive-vs-static parity (the self-tuning layer's output-invariance
-# contract), and the multi-tenant session protocol (random
+# contract), the multi-tenant session protocol (random
 # SESSION/ADD/STATS interleavings against a live server, per-session
-# accounting as the oracle) — for a short burst each on top of their
+# accounting as the oracle), and the binary item frames (arbitrary bytes
+# behind the frame marker: a typed reply or a clean close, bounded
+# allocation) — for a short burst each on top of their
 # committed seed corpora (testdata/fuzz/…): a CI pass that keeps hunting
 # for oracle violations without the cost of a long fuzzing campaign. `go test -fuzz` takes one target per run, hence
 # one command of $(FUZZTIME) each.
@@ -82,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAdmitWindow -fuzztime $(FUZZTIME) ./internal/apss
 	$(GO) test -run '^$$' -fuzz FuzzAdaptParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzSessionProtocol -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzItemFrame -fuzztime $(FUZZTIME) ./internal/server
 
 # cluster-smoke is the process-level cluster parity check: it builds the
 # real binaries, boots 2 sssjd shard workers + 1 sssjc coordinator (plus

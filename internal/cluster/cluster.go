@@ -15,7 +15,7 @@
 //     contract, and (when Config.Lateness > 0) the bounded reorder stage —
 //     workers always run δ = 0 and see items already released in
 //     (time, id) order;
-//   - routes each released item over the PUT protocol command: to every
+//   - routes each released item as one PUT item frame, encoded once: to every
 //     worker for STR-L2AP/AP, whose monotone max-vector statistics must
 //     observe the full stream to keep boundaries and re-indexing cadence
 //     identical to one process, and to the owners of at least one of the
@@ -35,9 +35,9 @@
 //
 // # Why the output is bit-identical
 //
-// Every floating-point similarity crosses the wire at full float64
-// round-trip precision (PUT requests and responses; see the server
-// package), vectors are normalized exactly once (at the coordinator;
+// Every coordinate and similarity crosses the wire as its float64 bits
+// (PUT frames and their replies; see the server package), vectors are
+// normalized exactly once (at the coordinator;
 // workers take PUT coordinates verbatim), and the shard engines recompute
 // each verified pair's similarity in the sequential engine's exact
 // operation order. Routing cannot lose a pair: a match's first contact
@@ -49,12 +49,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 
 	"sssj/internal/apss"
 	"sssj/internal/index/streaming"
@@ -123,8 +123,7 @@ type Coordinator struct {
 	begun bool
 
 	// Per-call fan-out scratch, reused across items.
-	results [][]apss.Match
-	errs    []error
+	frame   []byte // the item's PUT frame, encoded once for all targets
 	targets []int
 	merged  []apss.Match
 }
@@ -143,8 +142,6 @@ func Connect(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		broadcast: cfg.Kind == streaming.L2AP || cfg.Kind == streaming.AP,
-		results:   make([][]apss.Match, len(cfg.Workers)),
-		errs:      make([]error, len(cfg.Workers)),
 	}
 	if cfg.Lateness > 0 {
 		if cfg.Foreign {
@@ -215,45 +212,44 @@ func (c *Coordinator) route(it stream.Item) []int {
 }
 
 // dispatch sends one released item to its workers and emits the merged,
-// deduplicated match set. It runs on the driving goroutine; only the
-// per-worker PUTs fan out.
+// deduplicated match set, all on the driving goroutine. The item is
+// encoded once and the same bytes are written to every target before any
+// reply is awaited, so the workers compute side by side. That cannot
+// deadlock: a worker reads its whole request before it answers, so no
+// write here ever waits on a reply not yet read. Every request that was
+// started is finished even after a failure, which leaves the surviving
+// connections aligned on a request boundary; the first failure, in
+// target order, is the one reported.
 func (c *Coordinator) dispatch(it stream.Item, emit apss.Sink) error {
 	c.local.Items++
 	targets := c.route(it)
 	if len(targets) == 0 {
 		return nil // empty vector: matches nothing, indexes nothing
 	}
-	if len(targets) == 1 {
-		w := targets[0]
-		ms, err := c.clients[w].Put(it.ID, it.Side, it.Time, it.Vec)
-		if err != nil {
-			return &WorkerError{Index: w, Addr: c.cfg.Workers[w], Err: err}
+	c.frame = server.AppendPutFrame(c.frame[:0], it.ID, it.Side, it.Time, it.Vec)
+	var failed error
+	sent := 0
+	for _, w := range targets {
+		if err := c.clients[w].StartPut(c.frame); err != nil {
+			failed = c.workerErr(w, err)
+			break
 		}
-		return c.emitAll(ms, emit)
+		sent++
 	}
-	var wg sync.WaitGroup
-	for k, w := range targets {
-		wg.Add(1)
-		go func(k, w int) {
-			defer wg.Done()
-			c.results[k], c.errs[k] = c.clients[w].Put(it.ID, it.Side, it.Time, it.Vec)
-		}(k, w)
-	}
-	wg.Wait()
-	for k := range targets {
-		if err := c.errs[k]; err != nil {
-			return &WorkerError{Index: targets[k], Addr: c.cfg.Workers[targets[k]], Err: err}
+	c.merged = c.merged[:0]
+	for _, w := range targets[:sent] {
+		var err error
+		if c.merged, err = c.clients[w].FinishPut(it.ID, c.merged); err != nil && failed == nil {
+			failed = c.workerErr(w, err)
 		}
+	}
+	if failed != nil {
+		return failed
 	}
 	// Merge: sort by partner, drop duplicate discoveries. The duplicates
 	// are exact copies — every worker recomputes the same full-precision
 	// similarity — so which one survives is immaterial.
-	c.merged = c.merged[:0]
-	for k := range targets {
-		c.merged = append(c.merged, c.results[k]...)
-		c.results[k] = nil
-	}
-	sort.Slice(c.merged, func(i, j int) bool { return c.merged[i].Y < c.merged[j].Y })
+	slices.SortFunc(c.merged, func(a, b apss.Match) int { return cmp.Compare(a.Y, b.Y) })
 	out := c.merged[:0]
 	for i, m := range c.merged {
 		if i > 0 && m.Y == c.merged[i-1].Y {
@@ -262,6 +258,11 @@ func (c *Coordinator) dispatch(it stream.Item, emit apss.Sink) error {
 		out = append(out, m)
 	}
 	return c.emitAll(out, emit)
+}
+
+// workerErr attributes err to worker w.
+func (c *Coordinator) workerErr(w int, err error) error {
+	return &WorkerError{Index: w, Addr: c.cfg.Workers[w], Err: err}
 }
 
 // emitAll pushes matches into emit under the SinkJoiner contract: the
@@ -338,7 +339,7 @@ func (c *Coordinator) AdvanceTo(t float64, emit apss.Sink) error {
 	for i, cl := range c.clients {
 		ms, err := cl.Advance(wm)
 		if err != nil {
-			return &WorkerError{Index: i, Addr: c.cfg.Workers[i], Err: err}
+			return c.workerErr(i, err)
 		}
 		// Plain STR shards release nothing on a barrier; forward anything
 		// a custom worker joiner might report.
@@ -373,7 +374,7 @@ func (c *Coordinator) Stats() (metrics.Counters, error) {
 	for i, cl := range c.clients {
 		wc, err := cl.StatsJSON()
 		if err != nil {
-			return metrics.Counters{}, &WorkerError{Index: i, Addr: c.cfg.Workers[i], Err: err}
+			return metrics.Counters{}, c.workerErr(i, err)
 		}
 		wc.Items, wc.Pairs, wc.LateDrops = 0, 0, 0
 		out.Add(wc)

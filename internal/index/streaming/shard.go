@@ -249,11 +249,16 @@ func (e *shardEngine) candVer(x stream.Item, g *apss.Gate) {
 			continue
 		}
 		dt := x.Time - meta.t
-		decay := e.kernel.Factor(dt)
 		e.c.FullDots++
 		aDot := suffixDotDesc(x.Vec, meta.vec, meta.boundary)
 		raw := aDot + vec.Dot(x.Vec, meta.vec.SliceByIndex(0, meta.boundary))
-		if sim := raw * decay; sim >= theta {
+		// Factor is in [0, 1] by the Kernel contract, so a raw dot below θ
+		// cannot decay into a match: skip the exp for it. A NaN raw fails
+		// the comparison and is rejected by the one below, as before.
+		if raw < theta {
+			continue
+		}
+		if sim := raw * e.kernel.Factor(dt); sim >= theta {
 			g.Emit(apss.Match{X: x.ID, Y: e.slots.id[sl], Sim: sim, Dot: raw, DT: dt})
 		}
 	}
@@ -403,6 +408,9 @@ func (ix *shardInv) AddTo(x stream.Item, emit apss.Sink) error {
 		// the sequential accumulation order bit for bit.
 		ix.c.FullDots++
 		dot := vec.Dot(x.Vec, ix.vecs[sl])
+		if dot < ix.p.Theta {
+			continue // Factor ≤ 1: no decay lifts it to θ (see shardEngine.candVer)
+		}
 		if sim := dot * ix.kernel.Factor(dt); sim >= ix.p.Theta {
 			g.Emit(apss.Match{X: x.ID, Y: ix.slots.id[sl], Sim: sim, Dot: dot, DT: dt})
 		}

@@ -144,13 +144,16 @@ func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
 	}
 	opts, optsErr := parseSessionOptions(optionsFor(s.cfg), fields[5:])
 
-	cline, err := r.ReadString('\n')
-	if err != nil {
+	var lineBuf []byte
+	cline, ctrErr := readLine(r, &lineBuf)
+	if ctrErr != nil && ctrErr != ErrLineTooLong {
 		fmt.Fprintln(w, "ERR ADOPT: reading counters line")
 		return
 	}
 	var counters metrics.Counters
-	ctrErr := json.Unmarshal([]byte(strings.TrimSpace(cline)), &counters)
+	if ctrErr == nil {
+		ctrErr = json.Unmarshal(bytes.TrimSpace(cline), &counters)
+	}
 
 	// The payload is on the wire regardless of header validity — consume
 	// it fully so a refusal leaves the connection line-aligned. CopyN

@@ -37,6 +37,13 @@
 //	MOVED <addr>     (the session migrated to the daemon at <addr>;
 //	                 redial there and re-attach with SESSION)
 //
+// ADD, ADDNOW and PUT also have a binary form, the item frame of
+// frame.go, told from a line by its first byte; it is what Client sends,
+// and it carries every float as its bits. A frame is answered in tagged
+// binary records, a line in lines; past parsing the two forms are one
+// code path. Lines are bounded at 1 MiB ("ERR line too long"), frames at
+// MaxFrameNNZ coordinates.
+//
 // # Sessions
 //
 // The server is multi-tenant: it hosts named sessions, each one an
@@ -116,8 +123,9 @@
 // PUT ingests with a caller-assigned stream ID and explicit side,
 // taking coordinates verbatim (no re-normalization — the coordinator
 // already normalized once, and renormalizing would perturb bits and
-// break cross-wire parity), with MATCH replies at full float64
-// round-trip precision instead of ADD's human-oriented %.6f. ADV is the
+// break cross-wire parity). The coordinator sends it as a frame; the
+// text form answers with MATCH lines at full float64 round-trip
+// precision instead of ADD's human-oriented %.6f. ADV is the
 // engine time barrier carrying the coordinator's watermark. Both are
 // rejected on δ > 0 sessions: reordering belongs to exactly one tier,
 // and in cluster mode the coordinator owns it. A session created with
@@ -229,8 +237,10 @@ type ingestReq struct {
 	// they are found. The submitting handler is parked on reply for the
 	// duration, so writing to its connection buffer is race-free: the
 	// reply channel send orders the writes before the handler resumes.
-	emit  apss.Sink
-	reply chan ingestResp // buffered(1); the pipeline always replies
+	emit apss.Sink
+	// reply is the submitting connection's channel (buffered 1, see
+	// connState): the pipeline answers every request it dequeues, once.
+	reply chan ingestResp
 }
 
 // ingestResp is the pipeline's answer.
@@ -402,35 +412,69 @@ func (s *Server) close() error {
 	return err
 }
 
-// connState is one connection's protocol state: the session it is
-// attached to and its current foreign-join side.
+// connState is one connection's protocol state — the session it is
+// attached to and its current foreign-join side — plus everything a
+// request needs that would otherwise be made per item: the reply channel
+// the session pipeline answers on and the three match sinks writing into
+// the connection's buffer. One request is in flight per connection, so
+// one of each is enough.
 type connState struct {
-	sess *session
-	side apss.Side
+	sess  *session
+	side  apss.Side
+	w     *bufio.Writer
+	reply chan ingestResp
+	line  []byte // readLine's buffer
+	// writeErr latches the first failed match write. It is never returned
+	// to the joiner, whose processing must not depend on a client's
+	// socket; the Flush in handle meets the same error. The sinks run on
+	// the pipeline goroutine while the handler is parked on reply, and
+	// that channel orders their writes before the handler's.
+	writeErr                          error
+	matchText, matchExact, matchFrame apss.Sink
 }
 
-// handle runs one client connection.
+func newConnState(sess *session, w *bufio.Writer) *connState {
+	st := &connState{sess: sess, side: apss.SideA, w: w, reply: make(chan ingestResp, 1)}
+	st.matchText = func(m apss.Match) error { return st.emitText(m, false) }
+	st.matchExact = func(m apss.Match) error { return st.emitText(m, true) }
+	st.matchFrame = st.emitFrame
+	return st
+}
+
+// submit sends one request to the attached session's pipeline and waits
+// for its answer (see session.submit).
+func (st *connState) submit(req ingestReq, wait bool) ingestResp {
+	req.reply = st.reply
+	return st.sess.submit(req, wait)
+}
+
+// handle runs one client connection: item frames and text lines, told
+// apart by their first byte.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	s.cfg.Logf("client %s connected", conn.RemoteAddr())
-	// A plain Reader, not a Scanner: ADOPT switches mid-stream to a
-	// length-framed binary payload, which a line scanner cannot yield.
-	r := bufio.NewReaderSize(conn, 1<<16)
+	r := bufio.NewReaderSize(conn, connReadBuf)
 	w := bufio.NewWriter(conn)
-	st := &connState{sess: s.def, side: apss.SideA}
+	st := newConnState(s.def, w)
 	for {
-		line, err := r.ReadString('\n')
-		trimmed := strings.TrimSpace(line)
-		if trimmed != "" {
-			quit := s.dispatch(r, w, trimmed, st)
-			if ferr := w.Flush(); ferr != nil {
-				break
-			}
-			if quit {
-				break
+		head, err := r.Peek(1)
+		if err != nil {
+			break
+		}
+		var quit bool
+		if head[0] == frameMarker {
+			quit = st.serveFrame(r)
+		} else {
+			var line []byte
+			line, err = readLine(r, &st.line)
+			if err == ErrLineTooLong {
+				fmt.Fprintln(w, "ERR line too long")
+				err = nil
+			} else if trimmed := strings.TrimSpace(string(line)); trimmed != "" {
+				quit = s.dispatch(r, trimmed, st)
 			}
 		}
-		if err != nil {
+		if w.Flush() != nil || quit || err != nil {
 			break
 		}
 		select {
@@ -461,7 +505,8 @@ func writeRespErr(w *bufio.Writer, sess *session, resp ingestResp) bool {
 // dispatch executes one protocol line, reporting whether to close. r is
 // the connection's reader, consumed past the line only by ADOPT's
 // binary payload.
-func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *connState) (quit bool) {
+func (s *Server) dispatch(r *bufio.Reader, line string, st *connState) (quit bool) {
+	w := st.w
 	cmd := line
 	rest := ""
 	if i := strings.IndexByte(line, ' '); i >= 0 {
@@ -470,15 +515,11 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 	sess := st.sess
 	switch strings.ToUpper(cmd) {
 	case "ADD":
-		sess.cmdAdd(w, rest, false, st.side)
+		st.cmdAdd(rest, false)
 	case "ADDNOW":
-		sess.cmdAdd(w, rest, true, st.side)
+		st.cmdAdd(rest, true)
 	case "PUT":
-		if sess.reo != nil {
-			fmt.Fprintln(w, "ERR PUT requires a strict-order session (lateness 0)")
-			return false
-		}
-		sess.cmdPut(w, rest)
+		st.cmdPut(rest)
 	case "ADV":
 		if sess.reo != nil {
 			fmt.Fprintln(w, "ERR ADV requires a strict-order session (lateness 0); use WM")
@@ -489,7 +530,7 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 			fmt.Fprintf(w, "ERR bad timestamp %q\n", rest)
 			return false
 		}
-		sess.cmdAdv(w, t)
+		st.cmdAdv(t)
 	case "SIDE":
 		if !sess.opts.Foreign {
 			fmt.Fprintln(w, "ERR SIDE requires a foreign-join session")
@@ -515,7 +556,7 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 			fmt.Fprintf(w, "ERR bad timestamp %q\n", rest)
 			return false
 		}
-		sess.cmdWM(w, t)
+		st.cmdWM(t)
 	case "SESSION":
 		s.cmdSession(w, rest, st)
 	case "SESSIONS":
@@ -529,7 +570,7 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 			fmt.Fprintln(w, "ERR MIGRATE needs <addr>")
 			return false
 		}
-		resp := sess.submit(ingestReq{kind: ingestMigrate, migrateTo: rest}, true)
+		resp := st.submit(ingestReq{kind: ingestMigrate, migrateTo: rest}, true)
 		if writeRespErr(w, sess, resp) {
 			return false
 		}
@@ -537,13 +578,13 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string, st *con
 	case "ADOPT":
 		s.cmdAdopt(r, w, rest)
 	case "STATS":
-		resp := sess.submit(ingestReq{kind: ingestStats, statsJSON: strings.EqualFold(rest, "JSON")}, true)
+		resp := st.submit(ingestReq{kind: ingestStats, statsJSON: strings.EqualFold(rest, "JSON")}, true)
 		if writeRespErr(w, sess, resp) {
 			return false
 		}
 		fmt.Fprintf(w, "STATS %s\n", resp.info)
 	case "SIZE":
-		resp := sess.submit(ingestReq{kind: ingestSize}, true)
+		resp := st.submit(ingestReq{kind: ingestSize}, true)
 		if writeRespErr(w, sess, resp) {
 			return false
 		}
@@ -590,51 +631,40 @@ func (s *Server) cmdSession(w *bufio.Writer, rest string, st *connState) {
 	fmt.Fprintf(w, "SESSION %s\n", name)
 }
 
-// cmdAdd parses one item on the connection goroutine and submits it to
-// the session pipeline on the connection's current side.
-func (s *session) cmdAdd(w *bufio.Writer, rest string, stampNow bool, side apss.Side) {
+// cmdAdd parses one text ADD/ADDNOW on the connection goroutine and
+// submits it to the session pipeline on the connection's current side.
+// From the ingestReq on it shares everything with the item frames (see
+// serveFrame): one submit, one serveAdd.
+func (st *connState) cmdAdd(rest string, stampNow bool) {
+	w := st.w
 	fields := strings.Fields(rest)
-	var (
-		t     float64
-		coord []string
-		err   error
-	)
-	if stampNow {
-		coord = fields
-	} else {
+	var t float64
+	if !stampNow {
 		if len(fields) == 0 {
 			fmt.Fprintln(w, "ERR ADD needs a timestamp")
 			return
 		}
-		t, err = strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			fmt.Fprintf(w, "ERR bad timestamp %q\n", fields[0])
+		var err error
+		if t, err = parseTime(fields[0]); err != nil {
+			fmt.Fprintf(w, "ERR %v\n", err)
 			return
 		}
-		coord = fields[1:]
+		fields = fields[1:]
 	}
-	v, err := parseCoords(coord)
+	v, err := parseCoords(fields, true)
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	// Matches are written straight into the connection buffer by the
-	// pipeline goroutine while this handler waits on the reply — no
-	// match slice is built anywhere. Write errors are latched (not
-	// returned to the joiner, whose processing must not depend on a
-	// client's socket) and surface at the Flush in handle.
-	resp := s.submit(ingestReq{kind: ingestAdd, t: t, stampNow: stampNow, side: side, v: v, emit: matchEmitter(w, false)}, false)
-	if writeRespErr(w, s, resp) {
-		return
-	}
-	fmt.Fprintf(w, "OK %d\n", resp.id)
+	st.textResp(st.submit(ingestReq{kind: ingestAdd, t: t, stampNow: stampNow, side: st.side, v: v, emit: st.matchText}, false))
 }
 
-// cmdPut parses and submits a cluster PUT: explicit stream ID, explicit
-// side, and coordinates taken verbatim (no re-normalization — the
-// coordinator sends an already-normalized vector, and %g round-trips
-// float64 exactly). Matches stream back at full precision.
-func (s *session) cmdPut(w *bufio.Writer, rest string) {
+// cmdPut parses and submits a text cluster PUT: explicit stream ID,
+// explicit side, and coordinates taken verbatim (no re-normalization —
+// the sender already normalized, and %g round-trips float64 exactly).
+// Matches stream back at full precision.
+func (st *connState) cmdPut(rest string) {
+	w := st.w
 	fields := strings.Fields(rest)
 	if len(fields) < 3 {
 		fmt.Fprintln(w, "ERR PUT needs <id> <A|B> <timestamp> <dim>:<val>...")
@@ -645,94 +675,103 @@ func (s *session) cmdPut(w *bufio.Writer, rest string) {
 		fmt.Fprintf(w, "ERR bad id %q\n", fields[0])
 		return
 	}
-	var side apss.Side
-	switch strings.ToUpper(fields[1]) {
-	case "A":
-		side = apss.SideA
-	case "B":
-		side = apss.SideB
-	default:
-		fmt.Fprintf(w, "ERR bad side %q, want A or B\n", fields[1])
-		return
-	}
-	if side == apss.SideB && !s.opts.Foreign {
-		fmt.Fprintln(w, "ERR side B requires a foreign-join session")
-		return
-	}
-	t, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil {
-		fmt.Fprintf(w, "ERR bad timestamp %q\n", fields[2])
-		return
-	}
-	v, err := parseCoordsRaw(fields[3:])
+	side, err := st.sess.putSide(fields[1])
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	resp := s.submit(ingestReq{kind: ingestAdd, t: t, side: side, v: v, explicitID: true, id: id, emit: matchEmitter(w, true)}, false)
-	if writeRespErr(w, s, resp) {
+	t, err := parseTime(fields[2])
+	if err != nil {
+		fmt.Fprintf(w, "ERR %v\n", err)
 		return
 	}
-	fmt.Fprintf(w, "OK %d\n", resp.id)
+	v, err := parseCoords(fields[3:], false)
+	if err != nil {
+		fmt.Fprintf(w, "ERR %v\n", err)
+		return
+	}
+	st.textResp(st.submit(ingestReq{kind: ingestAdd, t: t, side: side, v: v, explicitID: true, id: id, emit: st.matchExact}, false))
+}
+
+// textResp closes a text item verb's reply with OK or the typed refusal.
+func (st *connState) textResp(resp ingestResp) {
+	if !writeRespErr(st.w, st.sess, resp) {
+		fmt.Fprintf(st.w, "OK %d\n", resp.id)
+	}
+}
+
+// putSide decodes a PUT's side token and applies the two session rules
+// of PUT, for the text verb and the frame alike.
+func (s *session) putSide(tok string) (apss.Side, error) {
+	if s.reo != nil {
+		return 0, errors.New("PUT requires a strict-order session (lateness 0)")
+	}
+	switch tok {
+	case "A", "a":
+		return apss.SideA, nil
+	case "B", "b":
+		if !s.opts.Foreign {
+			return 0, errors.New("side B requires a foreign-join session")
+		}
+		return apss.SideB, nil
+	}
+	return 0, fmt.Errorf("bad side %q, want A or B", tok)
 }
 
 // cmdAdv submits an engine time barrier; released matches (window
 // flushes) stream back at full precision before the echo.
-func (s *session) cmdAdv(w *bufio.Writer, t float64) {
-	resp := s.submit(ingestReq{kind: ingestAdv, t: t, emit: matchEmitter(w, true)}, true)
-	if writeRespErr(w, s, resp) {
+func (st *connState) cmdAdv(t float64) {
+	resp := st.submit(ingestReq{kind: ingestAdv, t: t, emit: st.matchExact}, true)
+	if writeRespErr(st.w, st.sess, resp) {
 		return
 	}
-	fmt.Fprintf(w, "ADV %s\n", resp.info)
+	fmt.Fprintf(st.w, "ADV %s\n", resp.info)
 }
 
 // cmdWM submits a WM heartbeat. Matches of items the advancing
 // watermark releases are written to this connection, like cmdAdd's.
-func (s *session) cmdWM(w *bufio.Writer, t float64) {
-	resp := s.submit(ingestReq{kind: ingestWM, t: t, emit: matchEmitter(w, false)}, true)
-	if writeRespErr(w, s, resp) {
+func (st *connState) cmdWM(t float64) {
+	resp := st.submit(ingestReq{kind: ingestWM, t: t, emit: st.matchText}, true)
+	if writeRespErr(st.w, st.sess, resp) {
 		return
 	}
-	fmt.Fprintf(w, "WM %s\n", resp.info)
+	fmt.Fprintf(st.w, "WM %s\n", resp.info)
 }
 
-// matchEmitter returns the per-request sink that writes MATCH lines into
-// the connection buffer on the pipeline goroutine. exact selects full
-// float64 round-trip formatting — the cluster paths (PUT/ADV), where
-// ADD's human-oriented %.6f truncation would break bit-identical parity
-// across the wire. Write errors are latched (never returned to the
-// joiner, whose processing must not depend on a client's socket) and
-// surface at the Flush in handle.
-func matchEmitter(w *bufio.Writer, exact bool) apss.Sink {
-	var writeErr error
-	return func(m apss.Match) error {
-		if writeErr != nil {
-			return nil
-		}
-		if exact {
-			_, writeErr = fmt.Fprintf(w, "MATCH %d %d %s %s %s\n", m.X, m.Y,
-				strconv.FormatFloat(m.Sim, 'g', -1, 64),
-				strconv.FormatFloat(m.Dot, 'g', -1, 64),
-				strconv.FormatFloat(m.DT, 'g', -1, 64))
-		} else {
-			_, writeErr = fmt.Fprintf(w, "MATCH %d %d %.6f %.6f %.6f\n", m.X, m.Y, m.Sim, m.Dot, m.DT)
-		}
+// emitText is the text form of the connection's match sink: one MATCH
+// line per match, written into the connection buffer on the pipeline
+// goroutine. exact selects full float64 round-trip formatting — text PUT
+// and ADV, where ADD's human-oriented %.6f would break bit-identical
+// parity across the wire.
+func (st *connState) emitText(m apss.Match, exact bool) error {
+	if st.writeErr != nil {
 		return nil
 	}
-}
-
-// parseCoords parses "dim:val" fields into a normalized vector.
-func parseCoords(fields []string) (vec.Vector, error) {
-	v, err := parseCoordsRaw(fields)
-	if err != nil {
-		return vec.Vector{}, err
+	if exact {
+		_, st.writeErr = fmt.Fprintf(st.w, "MATCH %d %d %s %s %s\n", m.X, m.Y,
+			strconv.FormatFloat(m.Sim, 'g', -1, 64),
+			strconv.FormatFloat(m.Dot, 'g', -1, 64),
+			strconv.FormatFloat(m.DT, 'g', -1, 64))
+	} else {
+		_, st.writeErr = fmt.Fprintf(st.w, "MATCH %d %d %.6f %.6f %.6f\n", m.X, m.Y, m.Sim, m.Dot, m.DT)
 	}
-	return v.Normalize(), nil
+	return nil
 }
 
-// parseCoordsRaw parses "dim:val" fields verbatim — PUT's path, where
-// the values are already normalized and renormalizing would change bits.
-func parseCoordsRaw(fields []string) (vec.Vector, error) {
+// parseTime parses an item timestamp; NaN and ±Inf, which ParseFloat
+// accepts, are refused like any other unusable token.
+func parseTime(tok string) (float64, error) {
+	t, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad timestamp %q", tok)
+	}
+	return t, finiteTime(t)
+}
+
+// parseCoords parses "dim:val" fields into a vector — normalized for
+// ADD, verbatim for PUT, whose values are already normalized and would
+// change bits if normalized again.
+func parseCoords(fields []string, normalize bool) (vec.Vector, error) {
 	dims := make([]uint32, 0, len(fields))
 	vals := make([]float64, 0, len(fields))
 	for _, f := range fields {
@@ -751,7 +790,7 @@ func parseCoordsRaw(fields []string) (vec.Vector, error) {
 		dims = append(dims, uint32(d))
 		vals = append(vals, val)
 	}
-	return vec.New(dims, vals)
+	return vec.Owned(dims, vals, normalize)
 }
 
 // Client is a minimal client for the server protocol.
@@ -761,6 +800,8 @@ type Client struct {
 	mu   sync.Mutex
 	// ioTimeout bounds each request round-trip; 0 means no deadline.
 	ioTimeout time.Duration
+	frame     []byte // the item frame being sent, reused
+	line      []byte // readLine's buffer
 }
 
 // Dialer configures connection establishment and per-request deadlines.
@@ -841,30 +882,27 @@ func respError(resp string) error {
 	return nil
 }
 
-// Add submits a timestamped item and returns its stream ID and matches.
-// A full session queue surfaces as a *BusyError (errors.Is ErrBusy); a
-// migrated session as a *MovedError (errors.Is ErrMoved).
+// Add submits a timestamped item on the connection's current side and
+// returns its stream ID and matches — exact similarities, since request
+// and reply are item frames (the text ADD rounds them to %.6f). The
+// server normalizes v. A full session queue surfaces as a *BusyError
+// (errors.Is ErrBusy); a migrated session as a *MovedError (errors.Is
+// ErrMoved).
 func (c *Client) Add(t float64, v vec.Vector) (uint64, []apss.Match, error) {
-	return c.add(fmt.Sprintf("ADD %g %s", t, formatCoords(v)))
+	return c.item(frameAdd, apss.SideA, 0, t, v)
 }
 
 // AddNow submits an item stamped with the server's clock.
 func (c *Client) AddNow(v vec.Vector) (uint64, []apss.Match, error) {
-	return c.add("ADDNOW " + formatCoords(v))
+	return c.item(frameAddNow, apss.SideA, 0, 0, v)
 }
 
 // Put submits an item with a caller-assigned stream ID, side, and
 // verbatim (pre-normalized) coordinates — the cluster coordinator's
 // ingest path. Matches come back at full float64 precision.
 func (c *Client) Put(id uint64, side apss.Side, t float64, v vec.Vector) ([]apss.Match, error) {
-	gotID, matches, err := c.add(fmt.Sprintf("PUT %d %v %s %s", id, side, strconv.FormatFloat(t, 'g', -1, 64), formatCoords(v)))
-	if err != nil {
-		return nil, err
-	}
-	if gotID != id {
-		return matches, fmt.Errorf("server: PUT %d acknowledged as %d", id, gotID)
-	}
-	return matches, nil
+	got, ms, err := c.item(framePut, side, id, t, v)
+	return ms, putAck(id, got, err)
 }
 
 // Advance sends an ADV engine time barrier: the promise that no item
@@ -901,48 +939,13 @@ func (c *Client) Advance(t float64) ([]apss.Match, error) {
 	}
 }
 
-func (c *Client) add(line string) (uint64, []apss.Match, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginRequest()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		return 0, nil, err
-	}
-	var matches []apss.Match
-	for {
-		resp, err := c.readLine()
-		if err != nil {
-			return 0, nil, err
-		}
-		switch {
-		case strings.HasPrefix(resp, "MATCH "):
-			m, err := parseMatchLine(resp)
-			if err != nil {
-				return 0, nil, err
-			}
-			matches = append(matches, m)
-		case strings.HasPrefix(resp, "OK "):
-			id, err := strconv.ParseUint(resp[3:], 10, 64)
-			if err != nil {
-				return 0, nil, fmt.Errorf("server: bad ok line %q", resp)
-			}
-			return id, matches, nil
-		default:
-			if err := respError(resp); err != nil {
-				return 0, nil, err
-			}
-			return 0, nil, fmt.Errorf("server: unexpected response %q", resp)
-		}
-	}
-}
-
 // readLine reads one trimmed response line. Callers hold c.mu.
 func (c *Client) readLine() (string, error) {
-	resp, err := c.r.ReadString('\n')
+	resp, err := readLine(c.r, &c.line)
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimSpace(resp), nil
+	return strings.TrimSpace(string(resp)), nil
 }
 
 // parseMatchLine decodes a MATCH response at full precision.
@@ -1118,16 +1121,4 @@ func (c *Client) Close() error {
 	defer c.mu.Unlock()
 	fmt.Fprintln(c.conn, "QUIT")
 	return c.conn.Close()
-}
-
-// formatCoords renders a vector in the protocol's dim:val form.
-func formatCoords(v vec.Vector) string {
-	var sb strings.Builder
-	for i := range v.Dims {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%d:%g", v.Dims[i], v.Vals[i])
-	}
-	return sb.String()
 }

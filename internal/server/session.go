@@ -389,12 +389,12 @@ func (s *session) run() {
 	}
 }
 
-// submit routes one request into the session queue. When wait is false
+// submit routes one request into the session queue and returns the
+// pipeline's answer, which arrives on req.reply. When wait is false
 // (item ingest) a full queue is refused immediately with errBusy — the
 // typed backpressure contract — instead of parking the handler; control
 // requests wait, bounded by server shutdown.
 func (s *session) submit(req ingestReq, wait bool) ingestResp {
-	req.reply = make(chan ingestResp, 1)
 	if wait {
 		select {
 		case s.reqs <- req:
@@ -501,7 +501,7 @@ func (s *session) serveAdd(req ingestReq) ingestResp {
 			}
 			return ingestResp{err: err}
 		}
-	} else if err := s.feed(req.emit)(it); err != nil {
+	} else if err := s.join(it, req.emit); err != nil {
 		return ingestResp{err: err}
 	}
 	if req.explicitID {
@@ -565,24 +565,27 @@ func (s *session) serveAdv(req ingestReq) ingestResp {
 	return ingestResp{info: strconv.FormatFloat(req.t, 'g', -1, 64)}
 }
 
-// feed returns the joiner-facing release target for one request: each
-// item flows through the joiner with its matches streaming into emit.
+// feed returns the reorder stage's release target for one request.
 func (s *session) feed(emit apss.Sink) func(stream.Item) error {
-	return func(it stream.Item) error {
-		if s.sinkJoiner != nil && emit != nil {
-			return s.sinkJoiner.AddTo(it, emit)
-		}
-		ms, err := s.joiner.Add(it)
-		if err != nil {
-			return err
-		}
-		if emit != nil {
-			for _, m := range ms {
-				emit(m)
-			}
-		}
-		return nil
+	return func(it stream.Item) error { return s.join(it, emit) }
+}
+
+// join runs one item through the joiner, its matches streaming into
+// emit.
+func (s *session) join(it stream.Item, emit apss.Sink) error {
+	if s.sinkJoiner != nil && emit != nil {
+		return s.sinkJoiner.AddTo(it, emit)
 	}
+	ms, err := s.joiner.Add(it)
+	if err != nil {
+		return err
+	}
+	if emit != nil {
+		for _, m := range ms {
+			emit(m)
+		}
+	}
+	return nil
 }
 
 // newSession builds, registers, and starts a session. mk overrides the

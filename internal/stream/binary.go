@@ -19,7 +19,42 @@ import (
 //	         nnz ×  (uint32 dim, float64 value)
 //
 // Records appear in stream order; IDs are assigned sequentially on read.
+// The record is also the body of the server's item frames (see
+// internal/server/frame.go), which is why its codec is exported.
 var binaryMagic = [8]byte{'S', 'S', 'S', 'J', 'B', 'I', 'N', '1'}
+
+// RecordHeaderSize and CoordSize are the encoded sizes of a record's
+// (timestamp, nnz) header and of one (dim, value) coordinate.
+const (
+	RecordHeaderSize = 12
+	CoordSize        = 12
+)
+
+// AppendRecord appends the record of (t, v) to b.
+func AppendRecord(b []byte, t float64, v vec.Vector) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+	b = binary.LittleEndian.AppendUint32(b, uint32(v.NNZ()))
+	for i, d := range v.Dims {
+		b = binary.LittleEndian.AppendUint32(b, d)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Vals[i]))
+	}
+	return b
+}
+
+// RecordHeader decodes the RecordHeaderSize bytes that start a record.
+func RecordHeader(b []byte) (t float64, nnz uint32) {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), binary.LittleEndian.Uint32(b[8:])
+}
+
+// AppendCoords decodes the len(b)/CoordSize coordinates in b onto dims
+// and vals.
+func AppendCoords(dims []uint32, vals []float64, b []byte) ([]uint32, []float64) {
+	for ; len(b) >= CoordSize; b = b[CoordSize:] {
+		dims = append(dims, binary.LittleEndian.Uint32(b))
+		vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(b[4:])))
+	}
+	return dims, vals
+}
 
 // ErrBadMagic is returned when a binary dataset has an unknown header.
 var ErrBadMagic = errors.New("stream: bad binary dataset magic")
@@ -32,6 +67,7 @@ const maxBinaryNNZ = 1 << 24
 type BinaryWriter struct {
 	w           *bufio.Writer
 	wroteHeader bool
+	rec         []byte // the record being written, reused
 }
 
 // NewBinaryWriter returns a BinaryWriter on w.
@@ -47,20 +83,9 @@ func (bw *BinaryWriter) Write(it Item) error {
 		}
 		bw.wroteHeader = true
 	}
-	var buf [12]byte
-	binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(it.Time))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(it.Vec.NNZ()))
-	if _, err := bw.w.Write(buf[:]); err != nil {
-		return err
-	}
-	for i := range it.Vec.Dims {
-		binary.LittleEndian.PutUint32(buf[:4], it.Vec.Dims[i])
-		binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(it.Vec.Vals[i]))
-		if _, err := bw.w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	bw.rec = AppendRecord(bw.rec[:0], it.Time, it.Vec)
+	_, err := bw.w.Write(bw.rec)
+	return err
 }
 
 // Flush flushes buffered output. An empty dataset still gets a header.
@@ -112,21 +137,20 @@ func (br *BinaryReader) Next() (Item, error) {
 		}
 		br.readHeader = true
 	}
-	var head [12]byte
+	var head [RecordHeaderSize]byte
 	if _, err := io.ReadFull(br.r, head[:]); err != nil {
 		if err == io.EOF {
 			return Item{}, io.EOF // clean end between records
 		}
 		return Item{}, err
 	}
-	ts := math.Float64frombits(binary.LittleEndian.Uint64(head[:8]))
-	nnz := binary.LittleEndian.Uint32(head[8:])
+	ts, nnz := RecordHeader(head[:])
 	if nnz > maxBinaryNNZ {
 		return Item{}, fmt.Errorf("stream: record nnz %d exceeds limit", nnz)
 	}
-	dims := make([]uint32, nnz)
-	vals := make([]float64, nnz)
-	var buf [12]byte
+	dims := make([]uint32, 0, nnz)
+	vals := make([]float64, 0, nnz)
+	var buf [CoordSize]byte
 	for i := uint32(0); i < nnz; i++ {
 		if _, err := io.ReadFull(br.r, buf[:]); err != nil {
 			if err == io.EOF {
@@ -134,8 +158,7 @@ func (br *BinaryReader) Next() (Item, error) {
 			}
 			return Item{}, err
 		}
-		dims[i] = binary.LittleEndian.Uint32(buf[:4])
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
+		dims, vals = AppendCoords(dims, vals, buf[:])
 	}
 	v := vec.Vector{Dims: dims, Vals: vals}
 	if err := v.Validate(); err != nil {

@@ -82,12 +82,9 @@ func (tr *TextReader) parseLine(text string) (Item, error) {
 		dims = append(dims, uint32(d))
 		vals = append(vals, v)
 	}
-	v, err := vec.New(dims, vals)
+	v, err := vec.Owned(dims, vals, !tr.RawValues)
 	if err != nil {
 		return Item{}, err
-	}
-	if !tr.RawValues {
-		v = v.Normalize()
 	}
 	it := Item{ID: tr.nextID, Time: ts, Vec: v}
 	tr.nextID++

@@ -71,6 +71,36 @@ func New(dims []uint32, vals []float64) (Vector, error) {
 	return v, nil
 }
 
+// Owned is New — followed by Normalize when normalize is set — for slices
+// the caller has just built and will not use again, which is what every
+// parser and wire decoder has. Input that is already canonical (strictly
+// increasing dimensions, finite non-zero values: every generated, encoded
+// or re-sent vector) is adopted as is and scaled in place, in Normalize's
+// exact operation order, so the result is bit-identical to
+// New(dims, vals) then Normalize() without their five allocations.
+// Anything else takes that slow path.
+func Owned(dims []uint32, vals []float64, normalize bool) (Vector, error) {
+	v := Vector{Dims: dims, Vals: vals}
+	if v.Validate() != nil {
+		v, err := New(dims, vals)
+		if err == nil && normalize {
+			v = v.Normalize()
+		}
+		return v, err
+	}
+	if !normalize {
+		return v, nil
+	}
+	n := v.Norm()
+	if len(vals) == 0 || n == 0 || math.IsInf(n, 0) {
+		return v.Normalize(), nil // empty, or Σx² under/overflowed: the rescaling branch
+	}
+	for i := range vals {
+		vals[i] /= n
+	}
+	return v, nil
+}
+
 // MustNew is New but panics on error; intended for tests and literals.
 func MustNew(dims []uint32, vals []float64) Vector {
 	v, err := New(dims, vals)

@@ -313,3 +313,85 @@ func TestNormalizeExtremeValues(t *testing.T) {
 		t.Fatalf("mixed = %v", u)
 	}
 }
+
+// TestOwnedMatchesNewNormalize: Owned is bit-identical to New followed by
+// Normalize on canonical input (which it adopts without copying) and on
+// everything that sends it down the slow path — unsorted and duplicate
+// dimensions, stored zeros, norms that under- and overflow, length
+// mismatches, non-finite values.
+func TestOwnedMatchesNewNormalize(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		dims []uint32
+		vals []float64
+	}{
+		{nil, nil},
+		{[]uint32{}, []float64{}},
+		{[]uint32{1, 5, 9}, []float64{0.5, -2, 3}},
+		{[]uint32{9, 1, 5}, []float64{3, 0.5, -2}},           // unsorted
+		{[]uint32{1, 1, 5}, []float64{0.5, 0.25, 2}},         // duplicate dimension
+		{[]uint32{1, 5}, []float64{0, 2}},                    // stored zero
+		{[]uint32{1, 5}, []float64{math.Copysign(0, -1), 2}}, // stored -0
+		{[]uint32{1, 1}, []float64{2, -2}},                   // cancels to empty
+		{[]uint32{1, 2}, []float64{1e308, 1e308}},            // Σx² overflows
+		{[]uint32{1, 2}, []float64{1e-308, 1e-308}},          // Σx² underflows
+		{[]uint32{1, 2}, []float64{1e308, 1e-308}},
+		{[]uint32{1, 2}, []float64{1}},
+		{[]uint32{1, 2}, []float64{1, math.NaN()}},
+		{[]uint32{1, 2}, []float64{inf, 1}},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		n := rng.Intn(12)
+		dims, vals := make([]uint32, n), make([]float64, n)
+		d := uint32(0)
+		for j := range dims {
+			d += 1 + uint32(rng.Intn(40))
+			dims[j], vals[j] = d, rng.NormFloat64()
+		}
+		cases = append(cases, struct {
+			dims []uint32
+			vals []float64
+		}{dims, vals})
+	}
+	same := func(a, b Vector) bool {
+		if len(a.Dims) != len(b.Dims) || len(a.Vals) != len(b.Vals) {
+			return false
+		}
+		for i := range a.Dims {
+			if a.Dims[i] != b.Dims[i] || math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, tc := range cases {
+		for _, normalize := range []bool{false, true} {
+			want, wantErr := New(tc.dims, tc.vals)
+			if wantErr == nil && normalize {
+				want = want.Normalize()
+			}
+			dims, vals := append([]uint32(nil), tc.dims...), append([]float64(nil), tc.vals...)
+			got, err := Owned(dims, vals, normalize)
+			if err != wantErr {
+				t.Fatalf("case %d normalize=%v: err %v, want %v", i, normalize, err, wantErr)
+			}
+			if err == nil && !same(got, want) {
+				t.Fatalf("case %d normalize=%v: Owned %v, New+Normalize %v", i, normalize, got, want)
+			}
+		}
+	}
+
+	// Canonical input is adopted, not copied.
+	dims, vals := []uint32{2, 4}, []float64{3, 4}
+	got, _ := Owned(dims, vals, true)
+	if &got.Dims[0] != &dims[0] || &got.Vals[0] != &vals[0] {
+		t.Fatal("Owned copied a canonical vector")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		vals[0], vals[1] = 3, 4
+		Owned(dims, vals, true)
+	}); n != 0 {
+		t.Fatalf("Owned allocates %v times on canonical input", n)
+	}
+}
