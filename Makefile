@@ -69,12 +69,14 @@ bench-gate:
 # adaptive-vs-static parity (the self-tuning layer's output-invariance
 # contract), the multi-tenant session protocol (random
 # SESSION/ADD/STATS interleavings against a live server, per-session
-# accounting as the oracle), and the binary item frames (arbitrary bytes
+# accounting as the oracle), the binary item frames (arbitrary bytes
 # behind the frame marker: a typed reply or a clean close, bounded
-# allocation) — for a short burst each on top of their
-# committed seed corpora (testdata/fuzz/…): a CI pass that keeps hunting
-# for oracle violations without the cost of a long fuzzing campaign. `go test -fuzz` takes one target per run, hence
-# one command of $(FUZZTIME) each.
+# allocation), and the dataset readers (binary and text files: any input
+# parses or fails with an error, never a panic) — for a short burst each
+# on top of their committed seed corpora (testdata/fuzz/…): a CI pass
+# that keeps hunting for oracle violations without the cost of a long
+# fuzzing campaign. `go test -fuzz` takes one target per run, hence one
+# command of $(FUZZTIME) each.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzForeignSelfParity -fuzztime $(FUZZTIME) .
@@ -85,6 +87,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAdaptParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzSessionProtocol -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzItemFrame -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzBinaryReader -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzTextReader -fuzztime $(FUZZTIME) ./internal/stream
 
 # cluster-smoke is the process-level cluster parity check: it builds the
 # real binaries, boots 2 sssjd shard workers + 1 sssjc coordinator (plus

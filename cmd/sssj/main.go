@@ -20,11 +20,11 @@
 // With -server ADDR the join runs remotely: items stream through a
 // running sssjd instead of an in-process joiner, and matches come back
 // over the same connection. -session NAME creates a private session on
-// the daemon (options from -theta/-lambda/-index/-join/-lateness/
-// -workers) or attaches to it if it already exists, in which case the
-// existing session's options win; without -session the items go to the
-// daemon's default session under the daemon's own flags. -window is
-// local-only and -framework must be STR in client mode.
+// the daemon (options from -theta/-lambda/-index/-join/-lateness) or
+// attaches to it if it already exists, in which case the existing
+// session's options win; without -session the items go to the daemon's
+// default session under the daemon's own flags. -window is local-only
+// and -framework must be STR in client mode.
 package main
 
 import (
@@ -88,7 +88,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		format    = fs.String("format", "text", "input format: text or binary")
 		stats     = fs.Bool("stats", false, "print operation counters to stderr")
 		quiet     = fs.Bool("quiet", false, "suppress per-match output; print only the count")
-		workers   = fs.Int("workers", 0, "dimension shards for the parallel STR engine (<=1 = sequential)")
 		srvAddr   = fs.String("server", "", "stream through a running sssjd at this address instead of joining in-process")
 		session   = fs.String("session", "", "with -server: create or attach to this named session (empty = the daemon's default session)")
 	)
@@ -96,7 +95,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := sssj.Options{Theta: *theta, Lambda: *lambda, Workers: *workers, Lateness: *lateness}
+	opts := sssj.Options{Theta: *theta, Lambda: *lambda, Lateness: *lateness}
 	if *window != "" {
 		w, err := parseWindow(*window)
 		if err != nil {
@@ -266,9 +265,6 @@ func runClient(addr, session, index string, opts sssj.Options, src sssj.Source, 
 		}
 		if opts.Lateness > 0 {
 			so = append(so, "lateness="+strconv.FormatFloat(opts.Lateness, 'g', -1, 64))
-		}
-		if opts.Workers > 1 {
-			so = append(so, "workers="+strconv.Itoa(opts.Workers))
 		}
 		if err := c.Session(session, so...); err != nil {
 			// The name is taken: attach to the existing session. Its

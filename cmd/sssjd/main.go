@@ -21,8 +21,7 @@
 // With -shard i/N the daemon runs as cluster worker i of N: its engine
 // stores only dimensions d with d mod N == i, and a coordinator (sssjc)
 // feeds it over the PUT/ADV protocol extensions. Worker daemons keep the
-// strict ordering contract, so -shard excludes -lateness, -window, and
-// -workers (the in-process sharding).
+// strict ordering contract, so -shard excludes -lateness and -window.
 //
 // The daemon is multi-tenant: the flags above configure the "default"
 // session, and clients create further independent joins with the
@@ -125,7 +124,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		lambda   = fs.Float64("lambda", 0.01, "time-decay factor > 0 (ignored with -window)")
 		index    = fs.String("index", "L2", "streaming index: L2, INV, or L2AP (plus AP with -window tumbling)")
 		quiet    = fs.Bool("quiet", false, "suppress connection logging")
-		work     = fs.Int("workers", 0, "dimension shards for the parallel STR engine (<=1 = sequential)")
 		join     = fs.String("join", "self", "join mode: self, or foreign (clients tag streams with SIDE A|B)")
 		lateness = fs.Float64("lateness", 0, "event-time lateness bound: accept ADDs up to this far behind the newest timestamp, and enable WM")
 		window   = fs.String("window", "", `window mode replacing exponential decay: "tumbling:SIZE" or "sliding:SIZE"`)
@@ -144,9 +142,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	if shard != (streaming.Shard{}) {
 		if *window != "" {
 			return fmt.Errorf("-shard runs the streaming cluster worker engine; -window is not supported")
-		}
-		if *work > 1 {
-			return fmt.Errorf("-shard is the cluster sharding; combine it with -workers <= 1")
 		}
 		if *lateness > 0 {
 			return fmt.Errorf("-shard workers keep strict ordering (the coordinator owns reordering); -lateness must be 0")
@@ -178,7 +173,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	logger := log.New(stderr, "sssjd: ", log.LstdFlags)
 	cfg := server.Config{
 		Params:      params,
-		Workers:     *work,
 		Foreign:     foreign,
 		Lateness:    *lateness,
 		Queue:       *queue,
@@ -198,12 +192,9 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 			return fmt.Errorf("unknown index %q", *index)
 		}
 		cfg.NewJoiner = func(p apss.Params, c *metrics.Counters) (core.Joiner, error) {
-			return core.NewSTRFull(kind, p, streaming.Options{Counters: c, Workers: *work, Foreign: foreign, Shard: shard})
+			return core.NewSTRFull(kind, p, streaming.Options{Counters: c, Foreign: foreign, Shard: shard})
 		}
 	case "tumbling":
-		if *work > 1 {
-			return fmt.Errorf("-window tumbling is a per-window batch join; -workers > 1 is not supported")
-		}
 		var kind static.Kind
 		switch *index {
 		case "L2":
@@ -233,7 +224,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 		cfg.NewJoiner = func(p apss.Params, c *metrics.Counters) (core.Joiner, error) {
 			return core.NewSTRFull(kind, p, streaming.Options{
 				Counters: c,
-				Workers:  *work,
 				Foreign:  foreign,
 				Kernel:   apss.SlidingWindow{Tau: winSize},
 			})
@@ -250,8 +240,8 @@ func run(args []string, stderr io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	logger.Printf("listening on %s (theta=%g lambda=%g index=%s tau=%.3g workers=%d join=%s lateness=%g window=%q shard=%q)",
-		ln.Addr(), *theta, params.Lambda, *index, cfg.Params.Horizon(), *work, *join, *lateness, *window, *shardArg)
+	logger.Printf("listening on %s (theta=%g lambda=%g index=%s tau=%.3g join=%s lateness=%g window=%q shard=%q)",
+		ln.Addr(), *theta, params.Lambda, *index, cfg.Params.Horizon(), *join, *lateness, *window, *shardArg)
 	if *metAddr != "" {
 		mln, err := net.Listen("tcp", *metAddr)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -15,8 +16,28 @@ import (
 	"sssj/internal/vec"
 )
 
+// lockedBuffer is the daemon log sink of the tests: the daemon's
+// goroutines (the signal handler's "shutting down" line among them)
+// write while the test reads.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 func TestDaemonEndToEnd(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -62,7 +83,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 // TestDaemonMetricsFlag: -metrics boots the HTTP endpoint, logs its
 // bound address, and serves a Prometheus scrape of the live sessions.
 func TestDaemonMetricsFlag(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -138,7 +159,7 @@ func TestDaemonBadFlags(t *testing.T) {
 // TestDaemonLatenessAndWindowFlags: a daemon started with -lateness
 // serves the WM heartbeat, and -window validation rejects bad specs.
 func TestDaemonLatenessAndWindowFlags(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -198,7 +219,6 @@ func TestDaemonBadLatenessAndWindow(t *testing.T) {
 		{"-window", "tumbling:0"},
 		{"-window", "bogus:5"},
 		{"-window", "sliding:10", "-index", "L2AP"},
-		{"-window", "tumbling:10", "-workers", "4"},
 		{"-window", "tumbling:10", "-index", "NOPE"},
 	} {
 		if err := run(args, &buf, nil); err == nil {
@@ -219,7 +239,6 @@ func TestDaemonShardFlags(t *testing.T) {
 		{"-shard", "-1/2"},
 		{"-shard", "0/0"},
 		{"-shard", "0/2", "-window", "tumbling:10"},
-		{"-shard", "0/2", "-workers", "4"},
 		{"-shard", "0/2", "-lateness", "5"},
 	} {
 		if err := run(args, &buf, nil); err == nil {

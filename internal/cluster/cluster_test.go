@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +12,15 @@ import (
 	"sssj/internal/apss"
 	"sssj/internal/core"
 	"sssj/internal/index/streaming"
+	"sssj/internal/leakcheck"
 	"sssj/internal/server"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
+
+// TestMain fails the package if any test leaves a goroutine running:
+// every coordinator, worker server and connection must wind down.
+func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }
 
 // genItems builds a deterministic stream over a narrow vocabulary: sparse
 // normalized vectors with awkward float coordinates, frequent near-repeats
@@ -192,10 +197,9 @@ func TestClusterTimeOrder(t *testing.T) {
 }
 
 // TestWorkerDeathMidStream: killing a worker surfaces a structured
-// WorkerError naming it, the merge loop never hangs, and no goroutines
-// leak after Close.
+// WorkerError naming it and the merge loop never hangs; TestMain checks
+// that no goroutines leak after Close.
 func TestWorkerDeathMidStream(t *testing.T) {
-	before := runtime.NumGoroutine()
 	p := apss.Params{Theta: 0.6, Lambda: 0.1}
 	l, err := StartLocal(streaming.L2AP, p, LocalOptions{
 		Workers: 2,
@@ -235,15 +239,6 @@ func TestWorkerDeathMidStream(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Logf("close: %v (tolerated: worker 1 is gone)", err)
-	}
-	// No goroutine leak: everything the cluster started winds down.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines %d > %d after Close:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -81,8 +81,9 @@ var errFrameTooLarge = fmt.Errorf("server: item exceeds %d coordinates", MaxFram
 
 // readLine reads one text line of at most maxLineBytes into *buf (reused
 // across calls) and returns it without its newline. A longer line is
-// consumed to its end, never buffered, and reported as ErrLineTooLong.
-// At end of input the unterminated rest comes back along with the error.
+// consumed to its end (or to the end of input), never buffered, and
+// reported as ErrLineTooLong. At end of input a short unterminated rest
+// comes back along with the error.
 func readLine(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 	line, long := (*buf)[:0], false
 	for {
@@ -95,10 +96,7 @@ func readLine(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 		}
 		*buf = line[:0]
 		if long {
-			if err == nil {
-				err = ErrLineTooLong
-			}
-			return nil, err
+			return nil, ErrLineTooLong
 		}
 		return line, err
 	}

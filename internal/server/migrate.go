@@ -93,11 +93,15 @@ func (s *session) serveMigrate(req ingestReq) ingestResp {
 	if err := bw.Flush(); err != nil {
 		return ingestResp{err: fmt.Errorf("migrate to %s: %w", req.migrateTo, err)}
 	}
-	resp, err := bufio.NewReader(conn).ReadString('\n')
+	// The reply goes through the 1 MiB-capped readLine: a peer that never
+	// sends a newline costs a bounded buffer, not one that grows until the
+	// deadline, and the session stays local (errors.Is ErrLineTooLong).
+	var ackBuf []byte
+	ack, err := readLine(bufio.NewReader(conn), &ackBuf)
 	if err != nil {
 		return ingestResp{err: fmt.Errorf("migrate to %s: reading acknowledgment: %w", req.migrateTo, err)}
 	}
-	resp = strings.TrimSpace(resp)
+	resp := strings.TrimSpace(string(ack))
 	if resp != "ADOPTED "+s.name {
 		if strings.HasPrefix(resp, "ERR ") {
 			return ingestResp{err: fmt.Errorf("migrate to %s: peer refused: %s", req.migrateTo, resp[4:])}
@@ -177,7 +181,6 @@ func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
 		se.counters = counters
 		ix, et, err := streaming.LoadFull(bytes.NewReader(payload.Bytes()), streaming.Options{
 			Counters: &se.counters,
-			Workers:  opts.Workers,
 			Foreign:  opts.Foreign,
 			Shard:    opts.Shard,
 			Adapt:    opts.adaptFor(),

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sssj/internal/apss"
@@ -267,5 +272,54 @@ func TestMigrateBadTarget(t *testing.T) {
 	v := vec.MustNew([]uint32{1}, []float64{1})
 	if _, _, err := c.Add(0, v); err != nil {
 		t.Fatalf("session stopped serving after failed migration: %v", err)
+	}
+}
+
+// TestMigrateAckBounded: a peer that answers ADOPT with an endless line
+// (2 MiB, no newline) cannot make the source buffer it. The read stops
+// at the 1 MiB line bound, MIGRATE fails with a typed error, and the
+// session stays local and un-MOVED.
+func TestMigrateAckBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stubDone := make(chan struct{})
+	go func() {
+		defer close(stubDone)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Swallow the whole ADOPT request first, so closing leaves no
+		// unread bytes behind (which would reset the connection).
+		r := bufio.NewReader(conn)
+		header, _ := r.ReadString('\n')
+		r.ReadString('\n') // counters line
+		if f := strings.Fields(header); len(f) > 5 {
+			n, _ := strconv.ParseInt(f[5], 10, 64)
+			io.CopyN(io.Discard, r, n)
+		}
+		conn.Write(bytes.Repeat([]byte{'x'}, 2<<20))
+	}()
+
+	a := startServer(t, Config{})
+	c := dialT(t, a)
+	if err := c.Session("s", "theta=0.7", "lambda=0.1"); err != nil {
+		t.Fatal(err)
+	}
+	v := vec.MustNew([]uint32{1}, []float64{1})
+	if _, _, err := c.Add(0, v); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Migrate(ln.Addr().String())
+	if err == nil || !strings.Contains(err.Error(), ErrLineTooLong.Error()) {
+		t.Fatalf("MIGRATE against an endless acknowledgment: err=%v, want %q", err, ErrLineTooLong)
+	}
+	<-stubDone
+	if _, ms, err := c.Add(1, v); err != nil || len(ms) != 1 {
+		t.Fatalf("session stopped serving after the refused migration: ms=%v err=%v", ms, err)
 	}
 }

@@ -59,7 +59,7 @@
 //	                              (error if it exists) and attach
 //
 // Option keys: theta, lambda, index (L2|INV|L2AP), join (self|foreign),
-// lateness, workers, queue, shard (i/N); unset keys inherit the server
+// lateness, queue, shard (i/N); unset keys inherit the server
 // Config. Items from all connections attached to one session interleave
 // into that session's stream, exactly as all connections of the old
 // single-join server did; sessions never observe each other's items.
@@ -158,15 +158,11 @@ import (
 // the old behavior.
 const DefaultSession = "default"
 
-// Config configures a Server. Params/Workers/Foreign/Lateness describe
+// Config configures a Server. Params/Foreign/Lateness describe
 // the default session; sessions created by the SESSION command inherit
 // them as defaults and override per-option.
 type Config struct {
 	Params apss.Params
-	// Workers selects the dimension-sharded parallel STR engine for the
-	// default joiner (values ≤ 1 keep the sequential engine). Ignored
-	// when NewJoiner is set.
-	Workers int
 	// Foreign runs the default session as the two-stream foreign join:
 	// connections tag their items with the SIDE command and only
 	// cross-side matches are reported. Applies to the default joiner (a
@@ -190,8 +186,7 @@ type Config struct {
 	// items per session), so the bound has that much slack; entries
 	// expire as each session's horizon moves, making BUSY retryable.
 	EntryBudget int
-	// NewJoiner builds the default session's joiner; defaults to STR-L2
-	// (sharded across Config.Workers shards when Workers > 1).
+	// NewJoiner builds the default session's joiner; defaults to STR-L2.
 	NewJoiner func(apss.Params, *metrics.Counters) (core.Joiner, error)
 	// NewSessionJoiner, when set, builds the joiner of every session
 	// that does not use NewJoiner (i.e. all SESSION-created sessions,
@@ -1025,7 +1020,7 @@ func (c *Client) Side(side apss.Side) error {
 // Session attaches the connection to the named session. With no opts it
 // must already exist (the re-attach path after a migration); with
 // "k=v" option tokens — theta=0.7, index=INV, join=foreign, lateness=3,
-// workers=4, queue=128, shard=0/2 — the session is created (an error if
+// queue=128, shard=0/2 — the session is created (an error if
 // the name is taken) and the connection attached to it.
 func (c *Client) Session(name string, opts ...string) error {
 	cmd := "SESSION " + name

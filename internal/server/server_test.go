@@ -5,13 +5,19 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"sssj/internal/apss"
+	"sssj/internal/leakcheck"
 	"sssj/internal/vec"
 )
+
+// TestMain fails the package if any test leaves a goroutine running:
+// every server, session pipeline and connection must wind down.
+func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }
 
 // testServer is a running server plus the address it listens on.
 type testServer struct {
@@ -236,51 +242,11 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-// TestWorkersParity: a server built with the sharded parallel engine
-// must return exactly the same per-item matches as a sequential server
-// for the same submitted stream.
-func TestWorkersParity(t *testing.T) {
-	type labeled struct {
-		id uint64
-		ms []apss.Match
-	}
-	run := func(workers int) []labeled {
-		s := startServer(t, Config{Workers: workers, Params: apss.Params{Theta: 0.5, Lambda: 0.05}})
-		c := dialT(t, s)
-		var out []labeled
-		for i := 0; i < 120; i++ {
-			v := vec.MustNew(
-				[]uint32{uint32(i % 7), uint32(i%7 + 3), uint32(i%5 + 9)},
-				[]float64{1, 0.8, 0.6},
-			)
-			id, ms, err := c.Add(float64(i)*0.3, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, labeled{id, ms})
-		}
-		return out
-	}
-	seq := run(0)
-	par := run(4)
-	if len(seq) != len(par) {
-		t.Fatalf("item counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].id != par[i].id {
-			t.Fatalf("item %d: id %d vs %d", i, seq[i].id, par[i].id)
-		}
-		if !apss.EqualMatchSets(seq[i].ms, par[i].ms, 1e-12) {
-			t.Fatalf("item %d: matches diverge (%d vs %d)", i, len(seq[i].ms), len(par[i].ms))
-		}
-	}
-}
-
 // TestPipelineOrderingPerClient: responses come back in submission
 // order with strictly increasing IDs for a client that interleaves its
 // adds with other clients' traffic.
 func TestPipelineOrderingPerClient(t *testing.T) {
-	s := startServer(t, Config{Workers: 2})
+	s := startServer(t, Config{})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -324,7 +290,7 @@ func TestPipelineOrderingPerClient(t *testing.T) {
 // TestStatsDuringTraffic: STATS and SIZE flow through the ingest
 // pipeline, so they are consistent snapshots even under concurrent adds.
 func TestStatsDuringTraffic(t *testing.T) {
-	s := startServer(t, Config{Workers: 2})
+	s := startServer(t, Config{})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 3; g++ {

@@ -22,7 +22,7 @@ import (
 // creates a joiner from: the option surface of one join, independent of
 // every other session on the server. The protocol form is space-
 // separated k=v tokens — theta=0.7 lambda=0.01 index=L2 join=foreign
-// lateness=3 workers=4 queue=64 shard=0/2 — and unset keys inherit the
+// lateness=3 queue=64 shard=0/2 — and unset keys inherit the
 // server's own Config, so "SESSION fast theta=0.9" differs from the
 // default session in θ alone.
 type SessionOptions struct {
@@ -32,9 +32,6 @@ type SessionOptions struct {
 	// "AP", or "AUTO" — the online engine selector, which starts on INV
 	// and promotes itself as the stream warrants (key "index").
 	Index string
-	// Workers is the in-process dimension-shard count of the parallel
-	// STR engine; ≤ 1 runs the sequential engine (key "workers").
-	Workers int
 	// Foreign selects the two-stream foreign join; connections then tag
 	// items with SIDE (key "join", values "self"/"foreign").
 	Foreign bool
@@ -75,7 +72,6 @@ func optionsFor(cfg Config) SessionOptions {
 		Theta:    cfg.Params.Theta,
 		Lambda:   cfg.Params.Lambda,
 		Index:    "L2",
-		Workers:  cfg.Workers,
 		Foreign:  cfg.Foreign,
 		Lateness: cfg.Lateness,
 		Queue:    cfg.Queue,
@@ -118,9 +114,6 @@ func (o SessionOptions) validate() error {
 		return fmt.Errorf("cadence is set but neither rerank nor index=auto is enabled")
 	}
 	if o.Shard.N > 0 {
-		if o.Workers > 1 {
-			return fmt.Errorf("shard sessions are the cluster sharding; combine with workers <= 1")
-		}
 		if o.Lateness > 0 {
 			return fmt.Errorf("shard sessions keep strict ordering (the coordinator owns reordering); lateness must be 0")
 		}
@@ -158,12 +151,12 @@ func (o SessionOptions) String() string {
 	if o.Foreign {
 		join = "foreign"
 	}
-	s := fmt.Sprintf("theta=%s lambda=%s index=%s join=%s lateness=%s workers=%d queue=%d",
+	s := fmt.Sprintf("theta=%s lambda=%s index=%s join=%s lateness=%s queue=%d",
 		strconv.FormatFloat(o.Theta, 'g', -1, 64),
 		strconv.FormatFloat(o.Lambda, 'g', -1, 64),
 		o.Index, join,
 		strconv.FormatFloat(o.Lateness, 'g', -1, 64),
-		o.Workers, o.Queue)
+		o.Queue)
 	if o.Shard.N > 0 {
 		s += fmt.Sprintf(" shard=%d/%d", o.Shard.ID, o.Shard.N)
 	}
@@ -219,16 +212,12 @@ func parseSessionOptions(base SessionOptions, toks []string) (SessionOptions, er
 			default:
 				return SessionOptions{}, fmt.Errorf("bad join %q, want self or foreign", val)
 			}
-		case "workers", "queue":
+		case "queue":
 			n, err := strconv.Atoi(val)
 			if err != nil {
-				return SessionOptions{}, fmt.Errorf("bad %s %q", key, val)
+				return SessionOptions{}, fmt.Errorf("bad queue %q", val)
 			}
-			if key == "workers" {
-				o.Workers = n
-			} else {
-				o.Queue = n
-			}
+			o.Queue = n
 		case "shard":
 			slash := strings.IndexByte(val, '/')
 			if slash <= 0 {
@@ -617,7 +606,6 @@ func (srv *Server) newSession(name string, opts SessionOptions, mk func(*session
 			} else {
 				j, err = core.NewSTRFull(kindFor(opts.Index), p, streaming.Options{
 					Counters: &s.counters,
-					Workers:  opts.Workers,
 					Foreign:  opts.Foreign,
 					Shard:    opts.Shard,
 					Adapt:    opts.adaptFor(),

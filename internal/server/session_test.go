@@ -44,14 +44,14 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("SESSIONS = %v, want [default fast]", names)
 	}
 	for _, tc := range [][]string{
-		{"bad", "theta=2"},                // invalid params
-		{"bad", "nope=1"},                 // unknown key
-		{"bad", "join=both"},              // bad enum
-		{"bad", "shard=2/2"},              // out-of-range shard
-		{"a/b", "theta=0.5"},              // bad name charset
-		{"bad", "index=BOGUS"},            // unknown index
-		{"bad", "lateness=-1"},            // negative δ
-		{"bad", "shard=0/2", "workers=4"}, // shard excludes workers
+		{"bad", "theta=2"},     // invalid params
+		{"bad", "nope=1"},      // unknown key
+		{"bad", "workers=4"},   // the parallel engine is library-only
+		{"bad", "join=both"},   // bad enum
+		{"bad", "shard=2/2"},   // out-of-range shard
+		{"a/b", "theta=0.5"},   // bad name charset
+		{"bad", "index=BOGUS"}, // unknown index
+		{"bad", "lateness=-1"}, // negative δ
 	} {
 		if err := c2.Session(tc[0], tc[1:]...); err == nil {
 			t.Fatalf("SESSION %v accepted", tc)

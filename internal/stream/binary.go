@@ -63,6 +63,11 @@ var ErrBadMagic = errors.New("stream: bad binary dataset magic")
 // huge allocations.
 const maxBinaryNNZ = 1 << 24
 
+// binaryInitCap caps the capacity a record's coordinate slices start
+// with, so a header claiming maxBinaryNNZ costs kilobytes, not the
+// ~200 MB it claims, until its coordinates are really there.
+const binaryInitCap = 4096
+
 // BinaryWriter writes items in the binary dataset format.
 type BinaryWriter struct {
 	w           *bufio.Writer
@@ -148,8 +153,10 @@ func (br *BinaryReader) Next() (Item, error) {
 	if nnz > maxBinaryNNZ {
 		return Item{}, fmt.Errorf("stream: record nnz %d exceeds limit", nnz)
 	}
-	dims := make([]uint32, 0, nnz)
-	vals := make([]float64, 0, nnz)
+	// The header alone must not size the allocation: start small and let
+	// append grow the slices only as coordinates actually arrive.
+	dims := make([]uint32, 0, min(nnz, binaryInitCap))
+	vals := make([]float64, 0, min(nnz, binaryInitCap))
 	var buf [CoordSize]byte
 	for i := uint32(0); i < nnz; i++ {
 		if _, err := io.ReadFull(br.r, buf[:]); err != nil {

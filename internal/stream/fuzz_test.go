@@ -13,6 +13,7 @@ func FuzzTextReader(f *testing.F) {
 	f.Add("# comment\n\n2 7:1\n")
 	f.Add("nan 1:1\n")
 	f.Add("1 1:1e308 2:1e308\n")
+	f.Add("0 2:1e308 2:1e308\n") // duplicate dims whose merged value overflows
 	f.Add("1 4294967295:1\n")
 	f.Add("1 1:-1\n")
 	f.Add("0 0:0\n")

@@ -2,9 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,6 +192,29 @@ func TestBinaryFailureInjection(t *testing.T) {
 	_, err = Collect(NewBinaryReader(bytes.NewReader(bad)))
 	if err == nil {
 		t.Fatal("oversized nnz accepted")
+	}
+}
+
+// TestBinaryHeaderOnlyRecordBoundedAlloc: a 20-byte file whose one
+// record header claims the maximum nnz (2^24 coordinates, ~200 MB) and
+// then ends must fail with io.ErrUnexpectedEOF after allocating for the
+// bytes that arrived, not for the claim.
+func TestBinaryHeaderOnlyRecordBoundedAlloc(t *testing.T) {
+	b := append([]byte{}, binaryMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+	b = binary.LittleEndian.AppendUint32(b, maxBinaryNNZ)
+	if len(b) != 20 {
+		t.Fatalf("file is %d bytes, want 20", len(b))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewBinaryReader(bytes.NewReader(b)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header-only record: err=%v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("header-only record allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

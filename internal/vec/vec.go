@@ -35,7 +35,8 @@ var ErrZeroValue = errors.New("vec: stored value is zero or not finite")
 var ErrLengthMismatch = errors.New("vec: dims and vals length mismatch")
 
 // New builds a vector from parallel dim/value slices, copying, sorting, and
-// merging duplicate dimensions (values for the same dimension are summed).
+// merging duplicate dimensions (values for the same dimension are summed;
+// a sum that overflows to ±Inf is rejected like an infinite value).
 // Zero-valued entries are dropped.
 func New(dims []uint32, vals []float64) (Vector, error) {
 	if len(dims) != len(vals) {
@@ -62,6 +63,9 @@ func New(dims []uint32, vals []float64) (Vector, error) {
 		sum := 0.0
 		for ; i < len(entries) && entries[i].d == d; i++ {
 			sum += entries[i].v
+		}
+		if math.IsInf(sum, 0) {
+			return Vector{}, ErrZeroValue
 		}
 		if sum != 0 {
 			v.Dims = append(v.Dims, d)

@@ -44,6 +44,10 @@ func TestNewRejectsNaNInf(t *testing.T) {
 	if _, err := New([]uint32{1}, []float64{math.Inf(1)}); err == nil {
 		t.Fatal("Inf accepted")
 	}
+	// Finite duplicates whose merged sum overflows (found by FuzzTextReader).
+	if _, err := New([]uint32{2, 2}, []float64{1e308, 1e308}); err == nil {
+		t.Fatal("duplicate sum overflowing to +Inf accepted")
+	}
 }
 
 func TestValidate(t *testing.T) {
