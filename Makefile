@@ -64,7 +64,9 @@ bench-gate:
 	$(GO) run ./cmd/sssjbench -checkjson BENCH.json
 
 # fuzz-smoke runs the metamorphic fuzz targets — foreign-vs-self-join
-# parity, reorder-vs-sorted parity, cluster-vs-sequential parity,
+# parity, reorder-vs-sorted parity, cluster-vs-sequential parity (over
+# loopback servers, and in process: a shard-engine group against the
+# sequential engine with each worker's own match set checked),
 # block-vs-scalar kernel parity, admission window ≡ scalar predicate,
 # adaptive-vs-static parity (the self-tuning layer's output-invariance
 # contract), the multi-tenant session protocol (random
@@ -76,12 +78,15 @@ bench-gate:
 # on top of their committed seed corpora (testdata/fuzz/…): a CI pass
 # that keeps hunting for oracle violations without the cost of a long
 # fuzzing campaign. `go test -fuzz` takes one target per run, hence one
-# command of $(FUZZTIME) each.
+# command of $(FUZZTIME) each. FuzzShardParity decodes its stream from a
+# byte string, so minimizing each new input under the default 60 s
+# budget would eat the whole burst; it gets 1 s.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzForeignSelfParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzReorderParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzClusterParity -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzShardParity -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/index/streaming
 	$(GO) test -run '^$$' -fuzz FuzzKernelParity -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzAdmitWindow -fuzztime $(FUZZTIME) ./internal/apss
 	$(GO) test -run '^$$' -fuzz FuzzAdaptParity -fuzztime $(FUZZTIME) .

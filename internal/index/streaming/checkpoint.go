@@ -294,11 +294,7 @@ func readEventTime(cr *ckptReader) (*EventTimeState, error) {
 		if side > uint8(apss.SideB) {
 			return nil, fmt.Errorf("buffered item %d has side %d", id, side)
 		}
-		vv := vec.Vector{Dims: make([]uint32, nnz), Vals: make([]float64, nnz)}
-		for k := 0; k < nnz && cr.err == nil; k++ {
-			vv.Dims[k] = cr.u32()
-			vv.Vals[k] = cr.f64()
-		}
+		vv := cr.coords(nnz)
 		if cr.err != nil {
 			break
 		}
@@ -572,11 +568,7 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 			boundary := int(cr.u32())
 			q := cr.f64()
 			nnz := int(cr.u32())
-			vv := vec.Vector{Dims: make([]uint32, nnz), Vals: make([]float64, nnz)}
-			for k := 0; k < nnz && cr.err == nil; k++ {
-				vv.Dims[k] = cr.u32()
-				vv.Vals[k] = cr.f64()
-			}
+			vv := cr.coords(nnz)
 			side := apss.SideA
 			if ver >= 4 {
 				side = apss.Side(cr.u8())
@@ -729,3 +721,25 @@ func (c *ckptReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 func (c *ckptReader) f64() float64 { return math.Float64frombits(c.u64()) }
+
+// coordsInitCap caps the capacity a vector's coordinate slices start
+// with: the count comes from the file, so the slices grow only as
+// coordinates actually arrive, and a count the payload does not back
+// costs at most this much before the read fails.
+const coordsInitCap = 64
+
+// coords reads nnz (dim, value) pairs. Every other count in a
+// checkpoint only bounds a loop that stops at the first read error, so
+// this is the one place a file-supplied count could size an allocation.
+func (c *ckptReader) coords(nnz int) vec.Vector {
+	v := vec.Vector{
+		Dims: make([]uint32, 0, min(nnz, coordsInitCap)),
+		Vals: make([]float64, 0, min(nnz, coordsInitCap)),
+	}
+	for k := 0; k < nnz && c.err == nil; k++ {
+		d, x := c.u32(), c.f64()
+		v.Dims = append(v.Dims, d)
+		v.Vals = append(v.Vals, x)
+	}
+	return v
+}

@@ -3,8 +3,10 @@ package streaming
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sssj/internal/apss"
@@ -196,6 +198,75 @@ func TestLoadRejectsBadEventTimeSection(t *testing.T) {
 	} {
 		if _, _, err := LoadFull(bytes.NewReader(write(tc.delta, tc.side)), Options{}); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("%s: got %v", tc.name, err)
+		}
+	}
+}
+
+// TestLoadBoundsClaimedCoordinates: a residual or buffered item whose
+// header claims 2²⁴ coordinates and whose payload then ends must fail
+// with a typed error, and must not have allocated for the claim (two
+// 2²⁴-element slices would be 192 MiB).
+func TestLoadBoundsClaimedCoordinates(t *testing.T) {
+	const claim = 1 << 24
+	header := func(cw *ckptWriter, eventTime bool) {
+		cw.bytes(ckptMagic[:])
+		cw.u32(ckptVersion)
+		if !eventTime {
+			cw.u8(0)
+			return
+		}
+		cw.u8(1)
+		cw.f64(2) // lateness
+		cw.u8(0)
+		cw.u8(1)
+		cw.u8(0)
+		cw.f64(10)
+		cw.f64(math.Inf(-1))
+		cw.u32(1) // one buffered item
+		cw.u64(9)
+		cw.f64(9.5)
+		cw.u8(0)
+		cw.u32(claim)
+		cw.u32(3)
+		cw.f64(1)
+	}
+	residual := func() []byte {
+		var buf bytes.Buffer
+		cw := &ckptWriter{w: &buf}
+		header(cw, false)
+		saveHeader(cw, L2, apss.Params{Theta: 0.5, Lambda: 0.1}, apss.Exponential{Lambda: 0.1}, 10, true, sweepClock{last: 10, swept: true})
+		cw.u32(0) // no posting lists
+		cw.u32(1) // one residual
+		cw.u64(7)
+		cw.f64(9)
+		cw.u32(0) // boundary
+		cw.f64(0) // q
+		cw.u32(claim)
+		cw.u32(3)
+		cw.f64(1)
+		return buf.Bytes()
+	}
+	buffered := func() []byte {
+		var buf bytes.Buffer
+		header(&ckptWriter{w: &buf}, true)
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"residual", residual()},
+		{"buffered item", buffered()},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := LoadFull(bytes.NewReader(tc.raw), Options{})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadCheckpoint) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: got %v, want ErrBadCheckpoint or io.ErrUnexpectedEOF", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: a truncated %d-coordinate claim allocated %d bytes", tc.name, claim, grew)
 		}
 	}
 }

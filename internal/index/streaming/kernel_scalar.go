@@ -154,7 +154,8 @@ func (ix *invIndex) scanScalar(x stream.Item) {
 }
 
 // candGenScalar is the frozen scalar body of shardEngine.candGen: the
-// worker's share of Algorithm 7 under the shard-local admission bounds.
+// worker's share of Algorithm 7 under the shard-local admission bound
+// and early kill (bounds 1 and 2 of shard.go).
 func (e *shardEngine) candGenScalar(x stream.Item) {
 	a := &e.acc
 	a.Begin(e.slots.span())
@@ -163,13 +164,6 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 		return
 	}
 	pnx := x.Vec.PrefixNorms()
-	var sqAbove []float64 // sum of squared values strictly past position i
-	if e.useL2 {
-		sqAbove = make([]float64, len(vals))
-		for i := len(vals) - 2; i >= 0; i-- {
-			sqAbove[i] = sqAbove[i+1] + vals[i+1]*vals[i+1]
-		}
-	}
 	rs1 := math.Inf(1) // minus the owned terms past the current position
 	if e.useAP {
 		rs1 = 0
@@ -177,11 +171,12 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 			rs1 += vals[i] * e.mhatAt(d)
 		}
 	}
-	ownSqAbove := 0.0
+	crossSq := 0.0 // Σ x² over the non-owned positions past the current one
 
 	for i := len(dims) - 1; i >= 0; i-- {
 		d, xj := dims[i], vals[i]
 		if !e.shard.owns(d) {
+			crossSq += xj * xj
 			continue
 		}
 		if ch := e.lists[d]; ch != nil {
@@ -191,6 +186,7 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 				if a.Dead[sl] == a.Epoch {
 					return
 				}
+				decay := e.kernel.Factor(x.Time - e.ar.t[ai])
 				if a.Mark[sl] != a.Epoch {
 					// Foreign-join side gating first: a same-side item is
 					// not a candidate on any worker.
@@ -199,18 +195,13 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 						return
 					}
 					// Shard-local admission: both bounds dominate the
-					// candidate's total similarity (see parallel.go).
+					// candidate's total similarity (see shard.go).
 					bound := math.Inf(1)
 					if e.useAP {
 						bound = rs1
 					}
 					if e.useL2 {
-						cross := sqAbove[i] - ownSqAbove
-						if cross < 0 {
-							cross = 0
-						}
-						decay := e.kernel.Factor(x.Time - e.ar.t[ai])
-						if b := decay * (pnx[i+1] + math.Sqrt(cross)); b < bound {
+						if b := decay * admitGeo(pnx[i+1], crossSq); b < bound {
 							bound = b
 						}
 					}
@@ -222,6 +213,13 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 					e.c.Candidates++
 				}
 				a.Dot[sl] += xj * e.ar.val[ai]
+				// Shard-local early ℓ2 kill (see shard.go).
+				if e.useL2 {
+					b := killBound(a.Dot[sl], math.Sqrt(crossSq), pnx[i], e.ar.pnorm[ai], e.ar.val[ai], e.ystat[sl].nrm2)
+					if b*decay < e.p.Theta-boundSlack {
+						a.Dead[sl] = a.Epoch
+					}
+				}
 			}
 			if e.useAP {
 				// Re-indexing may have broken time order, so scan forward
@@ -246,7 +244,6 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 		if e.useAP {
 			rs1 -= xj * e.mhatAt(d)
 		}
-		ownSqAbove += xj * xj
 	}
 }
 

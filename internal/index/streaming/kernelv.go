@@ -360,12 +360,15 @@ func (ix *parInv) shardScanVec(sh *invShard, s int, x stream.Item) {
 // ---------------------------------------------------------------------------
 // Sharded prefix-filtering scans (in-process parEngine shards and the
 // cluster-worker shardEngine). The shard-local admission bound is
-// min(rs1, decay·geo) with geo = ‖x_{≤i}‖ + ‖x_{>i} on other shards‖
-// hoisted per dimension (see parallel.go) — the sequential engine's
-// monotone form with geo for rs2 and θ−boundSlack for θ, so the same
-// admission window gives the same whole-block decline and admit tiers.
-// There is no early kill, hence no decay cache: a shard evaluates the
-// factor only inside a window's undecided band.
+// min(rs1, decay·geo) with geo hoisted per dimension: ‖x_{≤i}‖ +
+// ‖x_{>i} on other shards‖ for parEngine (see parallel.go), the tighter
+// √(‖x_{≤i}‖² + ‖x_{>i} on other shards‖²) for shardEngine (see
+// shard.go). That is the sequential engine's monotone form with geo for
+// rs2 and θ−boundSlack for θ, so the same admission window gives the
+// same whole-block decline and admit tiers. parEngine shards have no
+// early kill, hence no decay cache, and evaluate the factor only inside
+// a window's undecided band; shardEngine's kill caches it per candidate
+// exactly as engine.vBlock does.
 
 // vShardScan carries the per-item plumbing of one shard scan so the
 // block walks can be shared between parEngine (per-shard counters, no
@@ -382,6 +385,14 @@ type vShardScan struct {
 	side       apss.Side
 	traversed  *int64
 	candidates *int64 // nil: admissions not counted per lane
+
+	// kill enables shardEngine's early ℓ2 kill (bound 2 in shard.go),
+	// which needs the decay cache (accum.Dense.BeginDecay) and ystat.
+	// c and pnx are the current coordinate's ‖x on other shards above
+	// it‖ and ‖x before it‖.
+	kill   bool
+	ystat  []shardSlot
+	c, pnx float64
 }
 
 // scan walks dimension chain ch for query coordinate value xj under the
@@ -406,11 +417,15 @@ func (v *vShardScan) scan(ch *chain, xj, rs1, geo float64) int {
 // chain discipline; the parameters are engine.vBlock's. The scalar
 // kernel Declines same-side and below-bound lanes alike, so a
 // whole-block Decline reproduces its accumulator exactly; marked lanes
-// always accumulate.
+// always accumulate. The kill follows engine.vBlock: a candidate's
+// first kill test runs against the decay of the block's newest lane,
+// which dominates its own, and only a survivor evaluates (and caches)
+// its own factor.
 func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, dtMin, dtMax float64, w apss.Window, xj, geo float64) {
 	a, ar := v.a, v.ar
 	*v.traversed += int64(hi - lo)
 	rejectAll, admitAll := dtMin >= w.Hi, dtMax <= w.Lo
+	dub := -1.0 // Factor(dtMin), which dominates every live lane's decay
 
 	j, stop, step := lo, hi, 1
 	if ordered {
@@ -430,43 +445,65 @@ func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, dtMin, d
 				a.Decline(sl)
 				continue
 			}
+			d := -1.0
 			if !admitAll {
 				dt := v.now - ar.t[ai]
-				if dt >= w.Hi || dt > w.Lo && v.kernel.Factor(dt)*geo < v.cut {
+				if dt >= w.Hi {
 					a.Decline(sl)
 					continue
 				}
+				if dt > w.Lo {
+					if d = v.kernel.Factor(dt); d*geo < v.cut {
+						a.Decline(sl)
+						continue
+					}
+				}
 			}
 			a.Admit(sl)
+			if v.kill {
+				a.Decay[sl] = d
+			}
 			if v.candidates != nil {
 				*v.candidates++
 			}
 		}
-		a.Dot[sl] += xj * ar.val[ai]
+		dot := a.Dot[sl] + xj*ar.val[ai]
+		a.Dot[sl] = dot
+		if !v.kill {
+			continue
+		}
+		b := killBound(dot, v.c, v.pnx, ar.pnorm[ai], ar.val[ai], v.ystat[sl].nrm2)
+		d := a.Decay[sl]
+		if d < 0 {
+			if dub < 0 {
+				dub = v.kernel.Factor(dtMin)
+			}
+			if b >= 0 && b*dub < v.cut {
+				a.Dead[sl] = a.Epoch
+				continue
+			}
+			if dt := v.now - ar.t[ai]; dt == dtMin {
+				d = dub
+			} else {
+				d = v.kernel.Factor(dt)
+			}
+			a.Decay[sl] = d
+		}
+		if b*d < v.cut {
+			a.Dead[sl] = a.Epoch
+		}
 	}
 }
 
 // candGenVec is the block-kernel body of shardEngine.candGen: the
-// cluster worker's share of Algorithm 7 over owned dimensions. pnx is
-// x.Vec.PrefixNorms().
+// cluster worker's share of Algorithm 7 over owned dimensions, under
+// bounds 1 and 2 of shard.go. pnx is x.Vec.PrefixNorms().
 func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
 	a := &e.acc
-	a.Begin(e.slots.span())
+	a.BeginDecay(e.slots.span())
 	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if len(dims) == 0 {
 		return
-	}
-	// sqAbove[i] is the sum of squared values strictly past position i.
-	var sqAbove []float64
-	if e.useL2 {
-		if cap(e.sqAbove) < len(vals) {
-			e.sqAbove = make([]float64, len(vals))
-		}
-		sqAbove = e.sqAbove[:len(vals)]
-		sqAbove[len(vals)-1] = 0
-		for i := len(vals) - 2; i >= 0; i-- {
-			sqAbove[i] = sqAbove[i+1] + vals[i+1]*vals[i+1]
-		}
 	}
 	rs1 := math.Inf(1) // minus the owned terms past the current position
 	if e.useAP {
@@ -475,7 +512,7 @@ func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
 			rs1 += vals[i] * e.mhatAt(d)
 		}
 	}
-	ownSqAbove := 0.0
+	crossSq := 0.0 // Σ x² over the non-owned positions past the current one
 
 	v := vShardScan{
 		ar: &e.ar, a: a, slots: &e.slots,
@@ -483,20 +520,19 @@ func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
 		cut: e.p.Theta - boundSlack, tau: e.tau, foreign: e.foreign,
 		now: x.Time, side: x.Side,
 		traversed: &e.c.EntriesTraversed, candidates: &e.c.Candidates,
+		kill: e.useL2, ystat: e.ystat,
 	}
 	for i := len(dims) - 1; i >= 0; i-- {
 		d, xj := dims[i], vals[i]
 		if !e.shard.owns(d) {
+			crossSq += xj * xj
 			continue
 		}
 		if ch := e.lists[d]; ch != nil {
 			geo := math.Inf(1)
 			if e.useL2 {
-				cross := sqAbove[i] - ownSqAbove
-				if cross < 0 {
-					cross = 0
-				}
-				geo = pnx[i+1] + math.Sqrt(cross)
+				geo = admitGeo(pnx[i+1], crossSq)
+				v.c, v.pnx = math.Sqrt(crossSq), pnx[i]
 			}
 			e.c.ExpiredEntries += int64(v.scan(ch, xj, rs1, geo))
 			if ch.n == 0 {
@@ -506,7 +542,6 @@ func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
 		if e.useAP {
 			rs1 -= xj * e.mhatAt(d)
 		}
-		ownSqAbove += xj * xj
 	}
 }
 

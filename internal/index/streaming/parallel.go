@@ -361,28 +361,6 @@ func (e *parEngine) candVer(x stream.Item, g *apss.Gate) {
 	}
 }
 
-// suffixDotDesc computes Σ x_d·y_d over the coordinates of y at storage
-// positions ≥ boundary, accumulating in descending dimension order — the
-// order in which the sequential engine's reverse scan met the posting
-// entries, so the result is bit-identical to its partial dot.
-func suffixDotDesc(x, y vec.Vector, boundary int) float64 {
-	s := 0.0
-	i, j := len(x.Dims)-1, len(y.Dims)-1
-	for i >= 0 && j >= boundary {
-		switch {
-		case x.Dims[i] == y.Dims[j]:
-			s += x.Vals[i] * y.Vals[j]
-			i--
-			j--
-		case x.Dims[i] > y.Dims[j]:
-			i--
-		default:
-			j--
-		}
-	}
-	return s
-}
-
 func (e *parEngine) pushEntry(d uint32, slot uint32, t, val, pnorm float64) {
 	sh := e.shards[e.owner(d)]
 	sh.ar.pushTo(sh.lists, d, slot, t, val, pnorm)

@@ -14,37 +14,60 @@ import (
 
 // This file implements the cluster-worker variants of the streaming
 // indexes (Options.Shard): one process-local index that plays the role
-// of a single shard of the dimension-sharded group that parallel.go
-// runs in-process. Where parEngine owns all P shards and fans out
-// internally, a shard engine is exactly one shard — it receives the
-// stream (or the subset of it the cluster coordinator routes to it),
-// stores posting entries only for the dimensions it owns
+// of a single shard of a dimension-sharded group. A shard engine
+// receives the stream (or the subset of it the cluster coordinator
+// routes to it), stores posting entries only for the dimensions it owns
 // (d mod Shard.N == Shard.ID), and reports every match its owned
 // dimensions let it discover.
 //
-// The cluster contract mirrors the in-process sharded engine's
-// exactness argument (see parallel.go):
+// Exactness. A worker accumulates only the owned part A of a
+// candidate's dot product, so the sequential engine's bounds, which
+// reason about the full indexed dot, do not carry over verbatim. Every
+// rejection below instead bounds the candidate's *total* similarity,
+// and compares it against θ−boundSlack, so a float rounding difference
+// between the worker's and the sequential summation order can only keep
+// an extra candidate (later rejected exactly), never drop a real match.
+// Notation at the scan of owned query position i, where the candidate y
+// is met at its indexed position j: a = ‖x_{≤i}‖, c = ‖x on non-owned
+// dimensions above i‖, pn = ‖y_{<j}‖, and "decay" is y's factor.
 //
-//   - Admission uses the same shard-local bounds that dominate a
-//     candidate's *total* similarity (rs1 with only the worker's own
-//     terms decremented; the ℓ2 Cauchy-Schwarz split between the scan
-//     prefix and the other workers' dimensions), with the same
-//     boundSlack guard. A real match (sim ≥ θ) is therefore never
-//     declined by any worker that meets it.
-//   - Verification is always exact, and recomputes the indexed partial
-//     dot in the sequential engine's summation order (suffixDotDesc,
-//     then the residual dot in ascending order), so the worker's
-//     reported similarity is bit-identical to the single-process one.
-//     The cheap ps1/ds1/sz2 verification bounds are deliberately NOT
-//     applied: they need the candidate's full accumulated dot, and a
-//     single worker only holds the part over its owned dimensions —
-//     with a smaller dot the bound no longer dominates the total
-//     similarity and could reject a real match.
-//   - Every worker owning a dimension where the query touches an
-//     indexed entry of a true match emits that match, with identical
-//     floats; the coordinator deduplicates by (X, Y). Soundness of the
-//     prefix filter guarantees at least one such worker exists: a real
-//     match always touches the candidate's indexed suffix.
+//  1. Admission at first contact: decay·√(a² + c²) (and rs1 for L2AP).
+//     First contact at i means y has no coordinate at an owned dimension
+//     of x above i: an indexed one would have been met already, and the
+//     residual lies below every indexed dimension. So x·y only involves
+//     x's positions ≤ i and x's non-owned positions above i, two
+//     disjoint coordinate sets, and Cauchy–Schwarz over their union
+//     bounds it by √(a² + c²)·‖y‖. rs1 keeps only the owned terms
+//     decremented, by the same argument.
+//  2. Early ℓ2 kill after each accumulation:
+//     (A + c·‖y_{>j}‖ + ‖x_{<i}‖·pn)·decay, with ‖y_{>j}‖² taken as
+//     ‖y‖² − pn² − y_j². Owned common dimensions above j are already in
+//     A; y's coordinates at x's non-owned dimensions above i lie above j
+//     (c·‖y_{>j}‖ bounds them); everything below pairs x_{<i} with
+//     y_{<j}.
+//  3. Verification before any full-vector merge:
+//     (A + B̂ + P̂)·decay, where B̂ bounds the dot on y's indexed
+//     coordinates at non-owned dimensions (the minimum of the ℓ2,
+//     sum·max and count·max·max forms against x's non-owned part) and
+//     P̂ is the sequential engine's ps1/ds1/sz2 bound on y's residual
+//     prefix. A covers y's owned indexed coordinates exactly, so the
+//     three terms together cover all of y.
+//
+// The per-slot statistics 2 and 3 read (‖y‖² and the non-owned indexed
+// part's norm², sum, max and count) live in a slot-indexed slice on the
+// engine, reused across slots: the push hook writes them as icCore
+// indexes an item, and adds to them when L2AP re-indexing moves a
+// boundary down.
+//
+// A survivor is verified exactly, recomputing the indexed partial dot in
+// the sequential engine's summation order (suffixDotDesc, then the
+// residual dot in ascending order), so the worker's reported similarity
+// is bit-identical to the single-process one. Every worker owning a
+// dimension where the query touches an indexed entry of a true match
+// emits that match, with identical floats; the coordinator deduplicates
+// by (X, Y). Soundness of the prefix filter guarantees at least one such
+// worker exists: a real match always touches the candidate's indexed
+// suffix.
 //
 // Routing requirements (enforced by internal/cluster, stated here
 // because they are what makes the worker's statistics sound):
@@ -70,6 +93,13 @@ import (
 // pairs, late) with its own and documents the work counters as
 // per-worker sums.
 
+// sqSlack is added under the square root of ‖y‖² − pn² − y_j², a
+// difference of sums of squares: its rounding (a few ulps of ‖y‖² ≤ 1)
+// could make the root underestimate a tiny true suffix norm by up to
+// √ulp ≈ 1.5e-8, far past boundSlack. 1e-14 dominates that rounding and
+// loosens the kill by at most c·1e-7.
+const sqSlack = 1e-14
+
 // Shard configures a streaming index as one worker of an N-way
 // dimension-sharded cluster group: the index stores posting entries
 // only for dimensions d with d mod N == ID, while still observing the
@@ -93,9 +123,8 @@ func (s Shard) owns(d uint32) bool { return int(d%uint32(s.N)) == s.ID }
 
 // shardEngine is the cluster-worker variant of the prefix-filtering
 // engines (STR-L2, STR-L2AP, STR-AP): icCore index construction with
-// the push hook filtered to owned dimensions, parEngine's shard-local
-// admission bounds, and exact-only verification. See the file comment
-// for the exactness and routing contract.
+// the push hook filtered to owned dimensions, and the shard-local
+// admission, kill and verification bounds of the file comment.
 type shardEngine struct {
 	icCore
 	kernel apss.Kernel
@@ -110,8 +139,9 @@ type shardEngine struct {
 	lists map[uint32]*chain
 	acc   accum.Dense
 
-	// sqAbove is candGenVec's per-item suffix-mass scratch.
-	sqAbove []float64
+	// ystat[sl] is the statistics record of the item holding slot sl
+	// (see shardSlot); reused when the slot is.
+	ystat []shardSlot
 
 	// m̂λ over ALL dimensions of the items this worker observed — not
 	// just owned ones: rs1 needs m̂λ at every coordinate of the query.
@@ -156,14 +186,60 @@ func newShardEngine(p apss.Params, kernel apss.Kernel, useAP, useL2 bool, shard 
 	return e
 }
 
+// shardSlot is what the kill and verification bounds know of an
+// indexed item without touching its residual: ‖y‖², and the norm²,
+// sum, max and count of its indexed coordinates at dimensions this
+// worker does not own.
+type shardSlot struct {
+	t    float64 // the item's arrival time: a record with another t is stale
+	nrm2 float64
+	sq   float64
+	sum  float64
+	max  float64
+	cnt  int
+}
+
 // pushEntry stores only owned dimensions; entries of other workers'
-// dimensions are dropped (their owner indexes them).
+// dimensions are dropped (their owner indexes them) after adding them
+// to the slot's statistics. A slot is only recycled once its item is
+// past the horizon, so the next item to hold it arrives strictly later:
+// a record whose time differs from t belongs to that earlier item and
+// is reset. Both the indexing walk and re-indexing push in ascending
+// position order, and the latter only below the boundary, so the
+// indexing walk's last push, the item's top coordinate, sets ‖y‖².
 func (e *shardEngine) pushEntry(d uint32, slot uint32, t, val, pnorm float64) {
-	if !e.shard.owns(d) {
+	if n := int(slot) + 1; n > len(e.ystat) {
+		e.ystat = append(e.ystat, make([]shardSlot, n-len(e.ystat))...)
+	}
+	st := &e.ystat[slot]
+	if st.t != t {
+		*st = shardSlot{t: t}
+	}
+	if n2 := pnorm*pnorm + val*val; n2 > st.nrm2 {
+		st.nrm2 = n2
+	}
+	if e.shard.owns(d) {
+		e.ar.pushTo(e.lists, d, slot, t, val, pnorm)
 		return
 	}
-	e.ar.pushTo(e.lists, d, slot, t, val, pnorm)
+	st.sq += val * val
+	st.sum += val
+	st.max = max(st.max, val)
+	st.cnt++
 }
+
+// killBound is bound 2 of the file comment before decay: dot is the
+// owned partial dot A including y's entry (value yj, prefix norm pn),
+// c = ‖x on non-owned dimensions above the query position‖, pnx =
+// ‖x before it‖ and nrm2 = ‖y‖². Both scan kernels call it, so they
+// compare the same float.
+func killBound(dot, c, pnx, pn, yj, nrm2 float64) float64 {
+	return dot + c*math.Sqrt(max(0, nrm2-pn*pn-yj*yj)+sqSlack) + pnx*pn
+}
+
+// admitGeo is bound 1's ℓ2 term before decay: √(a² + c²) for a =
+// ‖x_{≤i}‖ and c2 = c². Shared by both scan kernels.
+func admitGeo(a, c2 float64) float64 { return math.Sqrt(a*a + c2) }
 
 // Add implements Index (the collect adapter over AddTo).
 func (e *shardEngine) Add(x stream.Item) ([]apss.Match, error) { return collectAdd(e, x) }
@@ -219,11 +295,10 @@ func (e *shardEngine) Advance(t float64) error {
 
 // candGen is the worker's share of Algorithm 7: scan x's owned
 // coordinates in reverse order, accumulating exact partial dot products
-// for candidates that survive the shard-local admission bounds — the
-// same bounds parEngine.shardScan applies, against this worker's view.
-// Runs on the block kernel (kernelv.go) unless the ScalarKernel ablation
-// selects the frozen oracle (kernel_scalar.go). pnx is
-// x.Vec.PrefixNorms().
+// for candidates that survive the shard-local admission bound and the
+// early kill (bounds 1 and 2 of the file comment). Runs on the block
+// kernel (kernelv.go) unless the ScalarKernel ablation selects the
+// frozen oracle (kernel_scalar.go). pnx is x.Vec.PrefixNorms().
 func (e *shardEngine) candGen(x stream.Item, pnx []float64) {
 	if e.scalar {
 		e.candGenScalar(x)
@@ -232,14 +307,33 @@ func (e *shardEngine) candGen(x stream.Item, pnx []float64) {
 	}
 }
 
-// candVer verifies every admitted candidate exactly, recomputing the
-// indexed partial dot in the sequential engine's summation order so the
-// reported similarity is bit-identical across workers and to the
-// single-process engines. No ps1/ds1/sz2 short-circuits: with only the
-// owned part of the dot they would be unsound (see the file comment).
+// candVer applies bound 3 of the file comment to every live candidate
+// and verifies the survivors exactly, recomputing the indexed partial
+// dot in the sequential engine's summation order so the reported
+// similarity is bit-identical across workers and to the single-process
+// engines. The decay is the one candidate generation cached, if it
+// needed it (only the block kernel's kill keeps a cache).
 func (e *shardEngine) candVer(x stream.Item, g *apss.Gate) {
 	a := &e.acc
-	theta := e.p.Theta
+	if len(a.Cands) == 0 {
+		return
+	}
+	theta, cut := e.p.Theta, e.p.Theta-boundSlack
+	vmx, sx, nx := x.Vec.MaxVal(), x.Vec.Sum(), x.Vec.NNZ()
+	// x on the dimensions this worker does not own, against which B̂
+	// bounds y's non-owned indexed coordinates.
+	var xsq, xsum, xmax float64
+	xcnt := 0
+	for i, d := range x.Vec.Dims {
+		if !e.shard.owns(d) {
+			v := x.Vec.Vals[i]
+			xsq += v * v
+			xsum += v
+			xmax = max(xmax, v)
+			xcnt++
+		}
+	}
+	xnrm := math.Sqrt(xsq)
 	for _, sl := range a.Cands {
 		if a.Dead[sl] == a.Epoch {
 			continue
@@ -249,19 +343,47 @@ func (e *shardEngine) candVer(x stream.Item, g *apss.Gate) {
 			continue
 		}
 		dt := x.Time - meta.t
-		e.c.FullDots++
-		aDot := suffixDotDesc(x.Vec, meta.vec, meta.boundary)
-		raw := aDot + vec.Dot(x.Vec, meta.vec.SliceByIndex(0, meta.boundary))
-		// Factor is in [0, 1] by the Kernel contract, so a raw dot below θ
-		// cannot decay into a match: skip the exp for it. A NaN raw fails
-		// the comparison and is rejected by the one below, as before.
-		if raw < theta {
+		decay := -1.0
+		if e.useL2 && !e.scalar {
+			decay = a.Decay[sl]
+		}
+		if decay < 0 {
+			decay = e.kernel.Factor(dt)
+		}
+		st := &e.ystat[sl]
+		bhat := min(xnrm*math.Sqrt(st.sq), xmax*st.sum, st.max*xsum, float64(min(xcnt, st.cnt))*xmax*st.max)
+		phat := min(meta.q, vmx*meta.rsum, meta.rmax*sx, float64(min(nx, meta.boundary))*vmx*meta.rmax)
+		if (a.Dot[sl]+bhat+phat)*decay < cut {
 			continue
 		}
-		if sim := raw * e.kernel.Factor(dt); sim >= theta {
+		e.c.FullDots++
+		raw := suffixDotDesc(x.Vec, meta.vec, meta.boundary) + vec.Dot(x.Vec, meta.vec.SliceByIndex(0, meta.boundary))
+		if sim := raw * decay; sim >= theta {
 			g.Emit(apss.Match{X: x.ID, Y: e.slots.id[sl], Sim: sim, Dot: raw, DT: dt})
 		}
 	}
+}
+
+// suffixDotDesc computes Σ x_d·y_d over the coordinates of y at storage
+// positions ≥ boundary, accumulating in descending dimension order — the
+// order in which the sequential engine's reverse scan met the posting
+// entries, so the result is bit-identical to its partial dot.
+func suffixDotDesc(x, y vec.Vector, boundary int) float64 {
+	s := 0.0
+	i, j := len(x.Dims)-1, len(y.Dims)-1
+	for i >= 0 && j >= boundary {
+		switch {
+		case x.Dims[i] == y.Dims[j]:
+			s += x.Vals[i] * y.Vals[j]
+			i--
+			j--
+		case x.Dims[i] > y.Dims[j]:
+			i--
+		default:
+			j--
+		}
+	}
+	return s
 }
 
 // mhatAt returns m̂λ_j evaluated at the current time.

@@ -3,11 +3,13 @@ package streaming
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"sssj/internal/apss"
 	"sssj/internal/dimorder"
 	"sssj/internal/stream"
+	"sssj/internal/vec"
 )
 
 // shardTargets routes one item the way the cluster coordinator does:
@@ -41,6 +43,14 @@ func shardTargets(kind Kind, n int, it stream.Item) []int {
 // assert the dedup path is actually exercised.
 func runShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bool, items []stream.Item) ([]apss.Match, int) {
 	t.Helper()
+	return driveShardCluster(t, kind, p, n, foreign, items, nil)
+}
+
+// driveShardCluster is runShardCluster with a hook that sees every
+// worker's own matches for every item routed to it, before the dedup.
+func driveShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bool, items []stream.Item,
+	onAdd func(w int, ix Index, it stream.Item, ms []apss.Match)) ([]apss.Match, int) {
+	t.Helper()
 	workers := make([]Index, n)
 	for i := range workers {
 		ix, err := New(kind, p, Options{Shard: Shard{ID: i, N: n}, Foreign: foreign})
@@ -57,6 +67,9 @@ func runShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bool
 			ms, err := workers[w].Add(it)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if onAdd != nil {
+				onAdd(w, workers[w], it, ms)
 			}
 			for _, m := range ms {
 				if seen[m.Y] {
@@ -265,4 +278,159 @@ func TestShardSizeParams(t *testing.T) {
 			t.Fatalf("%v: shards hold %d posting entries, sequential %d", kind, total, want)
 		}
 	}
+}
+
+// shardFuzzStream decodes a fuzz input into a time-ordered stream. Each
+// item takes 2+2·nnz bytes: a time gap in sixteenths, a header whose
+// low three bits are nnz−1 and whose bit 3 is the foreign-join side,
+// then nnz (dimension, value) byte pairs, the dimension taken mod 24 and
+// the value as (1+b)/256. Vectors are normalized; a repeated dimension
+// keeps its last value. At most 300 items are decoded.
+func shardFuzzStream(data []byte, foreign bool) []stream.Item {
+	var items []stream.Item
+	tm := 0.0
+	for len(data) >= 2 && len(items) < 300 {
+		gap, head := data[0], data[1]
+		nnz := int(head&7) + 1
+		data = data[2:]
+		if len(data) < 2*nnz {
+			break
+		}
+		m := make(map[uint32]float64, nnz)
+		for k := 0; k < nnz; k++ {
+			m[uint32(data[2*k])%24] = (1 + float64(data[2*k+1])) / 256
+		}
+		data = data[2*nnz:]
+		tm += float64(gap) / 16
+		side := apss.SideA
+		if foreign && head&8 != 0 {
+			side = apss.SideB
+		}
+		items = append(items, stream.Item{ID: uint64(len(items)), Time: tm, Side: side, Vec: vec.FromMap(m).Normalize()})
+	}
+	return items
+}
+
+// shardFuzzParams maps the fuzzer's selectors to join parameters:
+// θ ∈ [0.3, 0.99] at a resolution of 1e-5, λ ∈ [0.001, 0.5].
+func shardFuzzParams(thetaSel uint16, lambdaSel uint8) apss.Params {
+	return apss.Params{
+		Theta:  0.3 + 0.69*float64(thetaSel)/math.MaxUint16,
+		Lambda: 0.001 + 0.499*float64(lambdaSel)/math.MaxUint8,
+	}
+}
+
+// thetaSelBelow returns the largest θ selector whose θ does not exceed
+// the best decayed similarity of any pair in the stream data decodes
+// to: a seed whose strongest true pair sits right at the threshold.
+func thetaSelBelow(data []byte, lambdaSel uint8) uint16 {
+	items := shardFuzzStream(data, false)
+	lambda := shardFuzzParams(0, lambdaSel).Lambda
+	best := 0.0
+	for i := range items {
+		for j := range i {
+			best = max(best, vec.Dot(items[i].Vec, items[j].Vec)*math.Exp(-lambda*(items[i].Time-items[j].Time)))
+		}
+	}
+	return uint16(math.Floor((best - 0.3) / 0.69 * math.MaxUint16))
+}
+
+// FuzzShardParity: an in-process group of shard engines must reproduce
+// the sequential engine bit for bit, and each worker must keep the
+// per-worker half of the contract in shard.go: it emits exactly the true
+// matches it meets, those whose candidate has an indexed coordinate at
+// a dimension it owns and the query shares. The second check is what
+// makes a worker's unsound rejection visible: the group's dedup would
+// otherwise hide it whenever another worker also meets the pair.
+func FuzzShardParity(f *testing.F) {
+	// A true pair met by worker 0 only at dimension 2, its top owned
+	// contact, with part of the dot on dimensions 9 and 11 above it that
+	// worker 0 does not own, and θ right below its similarity. y's
+	// dimension-0 coordinate is its residual; x's prefix through
+	// dimension 2 alone is below θ. Worker 0's kill bound at dimension 2
+	// equals the similarity up to rounding, and it admits the pair only
+	// through the non-owned mass above.
+	tight := []byte{
+		0, 3, 0, 178, 2, 153, 9, 68, 11, 68, // y
+		16, 3, 0, 76, 2, 201, 9, 96, 11, 96, // x, one time unit later
+	}
+	f.Add(tight, uint8(0), uint8(0), false, thetaSelBelow(tight, 0), uint8(0))
+	f.Add(tight, uint8(1), uint8(0), false, thetaSelBelow(tight, 0), uint8(0))
+	// L2AP: z raises the max of dimension 1, which moves y's boundary
+	// down so that its coordinate there (worker 0 does not own it)
+	// joins the indexed suffix; then x = y arrives. Worker 0 meets y only
+	// at dimension 4, and most of the dot sits on the re-indexed part, so
+	// its per-slot statistics must have been refreshed.
+	reindex := []byte{
+		0, 2, 1, 191, 3, 114, 4, 123, // y
+		16, 1, 1, 255, 6, 15, // z
+		16, 2, 1, 191, 3, 114, 4, 123, // x = y
+	}
+	f.Add(reindex, uint8(1), uint8(0), false, uint16(37992), uint8(0)) // θ ≈ 0.70001
+	f.Add(reindex, uint8(1), uint8(0), true, uint16(37992), uint8(0))
+	// Mixed streams over the whole grid.
+	mixed := []byte{
+		3, 2, 1, 200, 5, 90, 7, 40, 2, 10, 1, 180, 5, 100, 4, 3, 7, 60, 8, 30, 1, 150, 22, 9,
+		5, 4, 1, 190, 5, 95, 7, 45, 2, 11, 9, 40, 12, 5, 2, 80, 13, 250, 19, 6,
+		1, 10, 1, 170, 5, 110, 7, 50, 9, 2, 5, 120, 6, 99, 13, 240, 6, 1, 2, 70, 13, 230,
+	}
+	for i, kind := range []uint8{0, 1, 2} {
+		f.Add(mixed, kind, uint8(i), i == 1, uint16(20000), uint8(10*i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kindSel, nSel uint8, foreign bool, thetaSel uint16, lambdaSel uint8) {
+		kind := []Kind{L2, L2AP, AP}[int(kindSel)%3]
+		n := 2 + int(nSel)%3
+		p := shardFuzzParams(thetaSel, lambdaSel)
+		items := shardFuzzStream(data, foreign)
+		if len(items) < 2 {
+			return
+		}
+
+		seq, err := New(kind, p, Options{Foreign: foreign})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBy := make(map[uint64][]apss.Match, len(items))
+		var want []apss.Match
+		for _, it := range items {
+			ms, err := seq.Add(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBy[it.ID] = ms
+			want = append(want, ms...)
+		}
+
+		got, _ := driveShardCluster(t, kind, p, n, foreign, items, func(w int, ix Index, it stream.Item, ms []apss.Match) {
+			e := ix.(*shardEngine)
+			var met []apss.Match
+			for _, m := range wantBy[it.ID] {
+				if meetsOwned(e, it, m.Y) {
+					met = append(met, m)
+				}
+			}
+			if !equalMatchesExact(ms, met) {
+				t.Fatalf("%v n=%d θ=%v λ=%v: worker %d on item %d emitted %v, met %v",
+					kind, n, p.Theta, p.Lambda, w, it.ID, ms, met)
+			}
+		})
+		if !equalMatchesExact(got, want) {
+			t.Fatalf("%v n=%d θ=%v λ=%v: shard group diverged: %d vs %d matches", kind, n, p.Theta, p.Lambda, len(got), len(want))
+		}
+	})
+}
+
+// meetsOwned reports whether worker e's scan of x reaches candidate y:
+// y has an indexed coordinate at a dimension e owns and x has.
+func meetsOwned(e *shardEngine, x stream.Item, y uint64) bool {
+	meta, ok := e.res.Get(y)
+	if !ok {
+		return false
+	}
+	for _, d := range meta.vec.Dims[meta.boundary:] {
+		if e.shard.owns(d) && x.Vec.At(d) != 0 {
+			return true
+		}
+	}
+	return false
 }
