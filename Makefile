@@ -39,10 +39,11 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# bench-workers compares the sequential engine against the sharded
-# parallel engine at several GOMAXPROCS values.
+# bench-workers compares the sequential engine against the in-process
+# shard group (Options.Workers). The group uses no goroutines, so there
+# is no GOMAXPROCS sweep.
 bench-workers:
-	$(GO) test -bench 'BenchmarkWorkers' -cpu 1,2,4 -run '^$$'
+	$(GO) test -bench 'BenchmarkWorkers' -run '^$$'
 
 # bench-json runs the standing perf scenario matrix at smoke scale,
 # emits the machine-readable BENCH artifact, and validates that it

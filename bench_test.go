@@ -294,21 +294,21 @@ func BenchmarkProcessSink(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel (sharded) engine benchmarks: the before/after comparison for
-// Options.Workers. Run with
+// Shard-group benchmarks: what Options.Workers costs against the
+// sequential engine. Run with
 //
-//	go test -bench 'BenchmarkWorkers' -cpu 1,4,8
+//	go test -bench 'BenchmarkWorkers' -run '^$'
 //
-// to see the sequential baseline against the sharded engine at various
-// GOMAXPROCS; on a single core the sharded engine pays fan-out overhead
-// with no parallelism to recoup it, so speedups require real cores.
+// The group drives its shard engines one after another on the calling
+// goroutine, so GOMAXPROCS does not change these figures; every shard
+// repeats each item's indexing walk, and w2/w4 are slower than seq.
 
-// BenchmarkWorkersPerItem measures per-item cost of STR-L2 and STR-L2AP
-// with the sequential engine (seq) and the sharded engine (w2, w4).
+// BenchmarkWorkersPerItem measures per-item cost of each streaming
+// index with the sequential engine (seq) and the shard group (w2, w4).
 func BenchmarkWorkersPerItem(b *testing.B) {
 	items := benchStreamItems(b, datagen.RCV1Profile())
 	p := apss.Params{Theta: 0.7, Lambda: 0.01}
-	for _, k := range []streaming.Kind{streaming.L2, streaming.L2AP} {
+	for _, k := range streaming.Kinds() {
 		for _, workers := range []int{0, 2, 4} {
 			name := fmt.Sprintf("%v/seq", k)
 			if workers > 1 {
@@ -334,7 +334,7 @@ func BenchmarkWorkersPerItem(b *testing.B) {
 }
 
 // BenchmarkWorkersEndToEnd measures the full STR-L2 join per profile,
-// sequential vs sharded, reporting items/sec.
+// sequential vs the 4-shard group, reporting items/sec.
 func BenchmarkWorkersEndToEnd(b *testing.B) {
 	p := apss.Params{Theta: 0.7, Lambda: 0.01}
 	for _, prof := range datagen.Profiles() {

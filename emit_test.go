@@ -13,7 +13,7 @@ import (
 
 // parityOptions enumerates the grid of the sink-vs-slice parity tests:
 // STR × {INV, L2AP, L2} × Workers ∈ {1, 4}, plus MB × {INV, L2AP, L2}
-// (MiniBatch has no parallel engine).
+// (MiniBatch has no shard group).
 func parityOptions(theta, lambda float64) []Options {
 	var out []Options
 	for _, ix := range []IndexKind{IndexINV, IndexL2AP, IndexL2} {
@@ -129,55 +129,60 @@ func TestMatchesContextCancel(t *testing.T) {
 // TestSinkErrorLeavesJoinerReusable stops consumption mid-item via a
 // sink error and requires (a) the item to still be indexed and (b) the
 // joiner to keep producing exactly the reference match stream for every
-// later item.
+// later item — under the sequential engine and under Workers: 4, whose
+// shard group collects every shard's matches before it emits any.
 func TestSinkErrorLeavesJoinerReusable(t *testing.T) {
 	items := nearDupStream(40)
-	opts := Options{Theta: 0.7, Lambda: 0.1}
 	const stopAt = 20
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			opts := Options{Theta: 0.7, Lambda: 0.1, Workers: workers}
 
-	// Reference: per-item match sets from an uninterrupted run.
-	ref, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]Match, len(items))
-	for i, it := range items {
-		if want[i], err = ref.Process(it); err != nil {
-			t.Fatal(err)
-		}
-	}
+			// Reference: per-item match sets from an uninterrupted run.
+			ref, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]Match, len(items))
+			for i, it := range items {
+				if want[i], err = ref.Process(it); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	j, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	for i, it := range items {
-		if i == stopAt {
-			// Abort consumption at the first match of this item.
-			calls := 0
-			err := j.ProcessTo(it, func(Match) error { calls++; return boom })
-			if !errors.Is(err, boom) {
-				t.Fatalf("sink error not returned: %v", err)
+			j, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if calls != 1 {
-				t.Fatalf("sink called %d times after erroring", calls)
+			boom := errors.New("boom")
+			for i, it := range items {
+				if i == stopAt {
+					// Abort consumption at the first match of this item.
+					calls := 0
+					err := j.ProcessTo(it, func(Match) error { calls++; return boom })
+					if !errors.Is(err, boom) {
+						t.Fatalf("sink error not returned: %v", err)
+					}
+					if calls != 1 {
+						t.Fatalf("sink called %d times after erroring", calls)
+					}
+					continue
+				}
+				got, err := j.Process(it)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !apss.EqualMatchSets(got, want[i], 1e-12) {
+					t.Fatalf("item %d: diverged after early exit (%d vs %d matches)", i, len(got), len(want[i]))
+				}
 			}
-			continue
-		}
-		got, err := j.Process(it)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !apss.EqualMatchSets(got, want[i], 1e-12) {
-			t.Fatalf("item %d: diverged after early exit (%d vs %d matches)", i, len(got), len(want[i]))
-		}
+		})
 	}
 }
 
-// TestParallelSinkEmissionRace exercises the sharded engine's internal
-// fan-out under an external sink; run with -race this verifies the
-// emission path never calls the sink concurrently.
+// TestParallelSinkEmissionRace drives the shard group under an external
+// sink; run with -race this verifies the emission path never calls the
+// sink concurrently.
 func TestParallelSinkEmissionRace(t *testing.T) {
 	items := datagen.TweetsProfile().Scaled(0.05).Generate(3)
 	opts := Options{Theta: 0.5, Lambda: 0.05}

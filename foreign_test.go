@@ -58,9 +58,8 @@ func foreignGrid() []Options {
 // TestForeignSelfJoinOracle is the metamorphic battery: on an
 // interleaved A/B stream, the foreign join must equal the side-filtered
 // self-join — same pairs, bit-identical similarities (eps 0) — across
-// the full framework × index × workers × θ grid. Run under -race this
-// also exercises the sharded engines' foreign gating for soundness of
-// the concurrent slot-table reads.
+// the full framework × index × workers × θ grid, which includes the
+// shard group's foreign gating.
 func TestForeignSelfJoinOracle(t *testing.T) {
 	items := tagAlternating(datagen.RCV1Profile().Scaled(0.05).Generate(17))
 	side := make(map[uint64]Side, len(items))

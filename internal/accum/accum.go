@@ -34,10 +34,6 @@ type Dense struct {
 	// Cands lists admitted slots in first-touch order — the reusable
 	// candidate list that verification walks instead of a map iteration.
 	Cands []uint32
-	// Deads lists slots pruned at admission time (never admitted to
-	// Cands), in first-decline order. Only the sharded engines use it,
-	// to union per-shard declines during the merge.
-	Deads []uint32
 	// Decay caches the time-decay factor of admitted slots, so a probe
 	// evaluates it at most once per candidate however many posting
 	// entries and bounds read it. Sized by BeginDecay only. The owner
@@ -48,7 +44,7 @@ type Dense struct {
 
 // Begin starts a new probe over a slot space of size n: it grows the
 // arrays if the slot space grew, bumps the epoch, and resets the
-// candidate lists. No per-slot state is cleared — stale stamps from
+// candidate list. No per-slot state is cleared — stale stamps from
 // earlier probes simply no longer equal Epoch.
 func (a *Dense) Begin(n int) {
 	if len(a.Mark) < n {
@@ -65,7 +61,6 @@ func (a *Dense) Begin(n int) {
 		a.Epoch = 1
 	}
 	a.Cands = a.Cands[:0]
-	a.Deads = a.Deads[:0]
 }
 
 // BeginDecay is Begin for an index that keeps the per-slot decay cache.
@@ -85,41 +80,6 @@ func (a *Dense) Admit(slot uint32) {
 	a.Cands = append(a.Cands, slot)
 }
 
-// Decline marks slot as pruned for the current probe and records it in
-// Deads. Safe to call more than once per slot per probe.
-func (a *Dense) Decline(slot uint32) {
-	if a.Dead[slot] != a.Epoch {
-		a.Dead[slot] = a.Epoch
-		a.Deads = append(a.Deads, slot)
-	}
-}
-
-// MergeDeads unions src's declined slots into a. The sharded engines
-// call it for every shard before any MergeCands so that a candidate
-// declined by one shard (provably below threshold) is dropped globally
-// even if another shard admitted it. a and src must be on the same
-// probe (a.Begin called for this probe; src.Begin run by the shard).
-func (a *Dense) MergeDeads(src *Dense) {
-	for _, sl := range src.Deads {
-		if a.Dead[sl] != a.Epoch {
-			a.Dead[sl] = a.Epoch
-		}
-	}
-}
-
-// MergeCands folds src's admitted slots and partial dot products into
-// a, skipping slots already declined in a (see MergeDeads). Merged
-// Cands ordering is src's first-touch order filtered by liveness, so
-// merging shards in a fixed order keeps the global candidate list
-// deterministic.
-func (a *Dense) MergeCands(src *Dense) {
-	for _, sl := range src.Cands {
-		if a.Dead[sl] == a.Epoch {
-			continue
-		}
-		if a.Mark[sl] != a.Epoch {
-			a.Admit(sl)
-		}
-		a.Dot[sl] += src.Dot[sl]
-	}
-}
+// Decline marks slot as pruned for the current probe: it will not be
+// admitted, accumulated, or verified again until the next Begin.
+func (a *Dense) Decline(slot uint32) { a.Dead[slot] = a.Epoch }

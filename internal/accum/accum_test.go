@@ -30,8 +30,8 @@ func TestBeginResetsWithoutClearing(t *testing.T) {
 	if a.Mark[1] == a.Epoch {
 		t.Fatal("stale admission visible after Begin")
 	}
-	if len(a.Cands) != 0 || len(a.Deads) != 0 {
-		t.Fatal("candidate lists not reset")
+	if len(a.Cands) != 0 {
+		t.Fatal("candidate list not reset")
 	}
 	a.Admit(1)
 	if a.Dot[1] != 0 {
@@ -58,9 +58,6 @@ func TestDecline(t *testing.T) {
 	if a.Dead[3] != a.Epoch {
 		t.Fatal("slot not dead")
 	}
-	if len(a.Deads) != 1 {
-		t.Fatalf("deads = %v, want one entry", a.Deads)
-	}
 	a.Begin(4)
 	if a.Dead[3] == a.Epoch {
 		t.Fatal("decline leaked across probes")
@@ -79,57 +76,5 @@ func TestEpochWraparound(t *testing.T) {
 	}
 	if a.Mark[0] == a.Epoch || a.Dead[1] == a.Epoch {
 		t.Fatal("stale stamps collide with the restarted epoch")
-	}
-}
-
-func TestMergeDeads(t *testing.T) {
-	var a, s1, s2 Dense
-	a.Begin(6)
-	s1.Begin(6)
-	s2.Begin(6)
-	s1.Decline(1)
-	s1.Decline(3)
-	s2.Decline(3) // shared decline: union, not double-count
-	s2.Decline(5)
-	a.MergeDeads(&s1)
-	a.MergeDeads(&s2)
-	for _, sl := range []uint32{1, 3, 5} {
-		if a.Dead[sl] != a.Epoch {
-			t.Fatalf("slot %d not dead after merge", sl)
-		}
-	}
-	if a.Dead[0] == a.Epoch || a.Dead[2] == a.Epoch {
-		t.Fatal("unmerged slot marked dead")
-	}
-}
-
-func TestMergeCands(t *testing.T) {
-	var a, s1, s2 Dense
-	a.Begin(6)
-	s1.Begin(6)
-	s2.Begin(6)
-	// Shard 1 admits 2 and 4; shard 2 admits 4 (partial dot to sum) and
-	// 5; 5 is globally declined by shard 1.
-	s1.Admit(2)
-	s1.Dot[2] = 0.25
-	s1.Admit(4)
-	s1.Dot[4] = 0.5
-	s1.Decline(5)
-	s2.Admit(4)
-	s2.Dot[4] = 0.125
-	s2.Admit(5)
-	s2.Dot[5] = 0.75
-	a.MergeDeads(&s1)
-	a.MergeDeads(&s2)
-	a.MergeCands(&s1)
-	a.MergeCands(&s2)
-	if len(a.Cands) != 2 || a.Cands[0] != 2 || a.Cands[1] != 4 {
-		t.Fatalf("cands = %v, want [2 4] (5 declined, order = shard-major first touch)", a.Cands)
-	}
-	if a.Dot[2] != 0.25 || a.Dot[4] != 0.625 {
-		t.Fatalf("dots = %v %v, want 0.25 and summed 0.625", a.Dot[2], a.Dot[4])
-	}
-	if a.Mark[5] == a.Epoch {
-		t.Fatal("declined slot admitted by merge")
 	}
 }

@@ -23,9 +23,11 @@
 package apss
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -122,6 +124,25 @@ func SortMatches(ms []Match) {
 		}
 		return ms[i].Y < ms[j].Y
 	})
+}
+
+// DedupPartners merges the matches several shards reported for one query
+// item: it sorts ms in place by partner Y and drops repeated partners,
+// returning the deduplicated prefix of ms. Shards that discover the same
+// pair through different dimensions report exact copies — each verifies
+// the full similarity in the sequential summation order — so which copy
+// survives is immaterial, and the ascending partner order is a
+// deterministic serialization of the one logical match set.
+func DedupPartners(ms []Match) []Match {
+	slices.SortFunc(ms, func(a, b Match) int { return cmp.Compare(a.Y, b.Y) })
+	out := ms[:0]
+	for i, m := range ms {
+		if i > 0 && m.Y == ms[i-1].Y {
+			continue
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 // EqualMatchSets reports whether two result sets contain the same pairs

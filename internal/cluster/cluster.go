@@ -49,11 +49,9 @@
 package cluster
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 
 	"sssj/internal/apss"
@@ -113,10 +111,9 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // every Joiner, Add/AddTo/AdvanceTo/Flush are one-goroutine-at-a-time;
 // the fan-out inside a call is the coordinator's own.
 type Coordinator struct {
-	cfg       Config
-	clients   []*server.Client
-	broadcast bool
-	reo       *stream.Reorder
+	cfg     Config
+	clients []*server.Client
+	reo     *stream.Reorder
 	// Stream-level counters, owned by the driving goroutine.
 	local metrics.Counters
 	lastT float64
@@ -139,10 +136,7 @@ func Connect(cfg Config) (*Coordinator, error) {
 	if cfg.Lateness < 0 || math.IsNaN(cfg.Lateness) || math.IsInf(cfg.Lateness, 0) {
 		return nil, fmt.Errorf("cluster: Lateness must be finite and >= 0, got %v", cfg.Lateness)
 	}
-	c := &Coordinator{
-		cfg:       cfg,
-		broadcast: cfg.Kind == streaming.L2AP || cfg.Kind == streaming.AP,
-	}
+	c := &Coordinator{cfg: cfg}
 	if cfg.Lateness > 0 {
 		if cfg.Foreign {
 			c.reo = stream.NewSidedReorder(cfg.Lateness)
@@ -185,32 +179,6 @@ func joinName(foreign bool) string {
 	return "self"
 }
 
-// route fills c.targets with the workers that must receive it.
-func (c *Coordinator) route(it stream.Item) []int {
-	c.targets = c.targets[:0]
-	n := len(c.clients)
-	if c.broadcast {
-		for i := 0; i < n; i++ {
-			c.targets = append(c.targets, i)
-		}
-		return c.targets
-	}
-	for _, d := range it.Vec.Dims {
-		w := int(d % uint32(n))
-		dup := false
-		for _, seen := range c.targets {
-			if seen == w {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			c.targets = append(c.targets, w)
-		}
-	}
-	return c.targets
-}
-
 // dispatch sends one released item to its workers and emits the merged,
 // deduplicated match set, all on the driving goroutine. The item is
 // encoded once and the same bytes are written to every target before any
@@ -222,7 +190,8 @@ func (c *Coordinator) route(it stream.Item) []int {
 // target order, is the one reported.
 func (c *Coordinator) dispatch(it stream.Item, emit apss.Sink) error {
 	c.local.Items++
-	targets := c.route(it)
+	c.targets = streaming.Route(c.cfg.Kind, len(c.clients), it.Vec.Dims, c.targets[:0])
+	targets := c.targets
 	if len(targets) == 0 {
 		return nil // empty vector: matches nothing, indexes nothing
 	}
@@ -246,18 +215,7 @@ func (c *Coordinator) dispatch(it stream.Item, emit apss.Sink) error {
 	if failed != nil {
 		return failed
 	}
-	// Merge: sort by partner, drop duplicate discoveries. The duplicates
-	// are exact copies — every worker recomputes the same full-precision
-	// similarity — so which one survives is immaterial.
-	slices.SortFunc(c.merged, func(a, b apss.Match) int { return cmp.Compare(a.Y, b.Y) })
-	out := c.merged[:0]
-	for i, m := range c.merged {
-		if i > 0 && m.Y == c.merged[i-1].Y {
-			continue
-		}
-		out = append(out, m)
-	}
-	return c.emitAll(out, emit)
+	return c.emitAll(apss.DedupPartners(c.merged), emit)
 }
 
 // workerErr attributes err to worker w.

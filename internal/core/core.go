@@ -23,10 +23,9 @@ import (
 
 // Joiner consumes a stream and emits SSSJ matches. Add and Flush must be
 // called from one goroutine at a time — a stream has a single arrival
-// order — but an implementation may parallelize the work inside a call
-// (the sharded STR engine does, when built with streaming.Options.Workers
-// > 1; every other implementation is fully sequential, as in the paper's
-// evaluation).
+// order. The in-process implementations do all their work on that
+// goroutine, as in the paper's evaluation; only the cluster coordinator
+// has remote workers compute side by side inside a call.
 type Joiner interface {
 	// Add processes the next stream item (non-decreasing timestamps) and
 	// returns the matches it can already report.

@@ -83,7 +83,7 @@ type Result struct {
 func (r Result) Label() string { return r.Framework + "-" + r.Index }
 
 // newJoiner instantiates a framework × index combination. workers > 1
-// selects the sharded parallel STR engine (STR only); foreign selects
+// selects the in-process STR shard group (STR only); foreign selects
 // the two-stream foreign join; adapt enables the self-tuning layer
 // (STR only; the index name "AUTO" additionally turns on the engine
 // selector, starting from the INV floor).
@@ -132,8 +132,8 @@ func newJoiner(framework, index string, p apss.Params, c *metrics.Counters, work
 // RunOpts tunes a single measured run beyond the paper's defaults. The
 // zero value reproduces RunOne exactly.
 type RunOpts struct {
-	// Workers is the shard count for the parallel STR engine (≤ 1 runs
-	// the paper's sequential engine; ignored by MB).
+	// Workers is the shard count of the STR shard group (≤ 1 runs the
+	// paper's sequential engine; ignored by MB).
 	Workers int
 	// Budget is the cooperative per-run deadline; 0 = unlimited.
 	Budget time.Duration

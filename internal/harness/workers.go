@@ -31,11 +31,11 @@ func DefaultWorkerCounts() []int {
 	return out
 }
 
-// RunWorkers sweeps the sharded parallel STR-L2 engine over worker
+// RunWorkers sweeps the in-process STR-L2 shard group over worker
 // counts on each dataset profile, reporting throughput and speedup
 // relative to the sequential engine. This experiment has no analog in
-// the paper (its evaluation is single-threaded, §7); it quantifies the
-// parallel extension.
+// the paper (its evaluation is single-threaded, §7); it quantifies what
+// dimension sharding costs on one core.
 func RunWorkers(cfg Config, counts []int) []WorkersResult {
 	cfg = cfg.withDefaults()
 	if len(counts) == 0 {

@@ -15,7 +15,7 @@ type BlockInfo struct {
 	FreeBlocks int
 }
 
-// add accumulates b's figures (sharded engines sum their shards).
+// add accumulates ar's figures into b.
 func (b *BlockInfo) add(ar *parena) {
 	b.Blocks += ar.blocks()
 	b.FreeBlocks += ar.freeBlocks()
@@ -38,24 +38,6 @@ func (ix *invIndex) ArenaInfo() BlockInfo {
 func (e *engine) ArenaInfo() BlockInfo {
 	var b BlockInfo
 	b.add(&e.ar)
-	return b
-}
-
-// ArenaInfo implements ArenaSizer, summing the per-worker arenas.
-func (e *parEngine) ArenaInfo() BlockInfo {
-	var b BlockInfo
-	for i := range e.shards {
-		b.add(&e.shards[i].ar)
-	}
-	return b
-}
-
-// ArenaInfo implements ArenaSizer, summing the per-worker arenas.
-func (ix *parInv) ArenaInfo() BlockInfo {
-	var b BlockInfo
-	for i := range ix.shards {
-		b.add(&ix.shards[i].ar)
-	}
 	return b
 }
 

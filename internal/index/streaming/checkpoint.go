@@ -121,83 +121,25 @@ func SaveFull(ix Index, et *EventTimeState, w io.Writer) error {
 	switch v := ix.(type) {
 	case *invIndex:
 		saveHeader(cw, INV, v.p, v.kernel, v.now, v.begun, v.clock)
-		cw.u32(uint32(len(v.lists)))
-		for d, ch := range v.lists {
-			cw.u32(d)
-			saveChain(cw, &v.ar, &v.slots, ch, false)
-		}
+		saveLists(cw, false, postings{&v.ar, v.lists, &v.slots})
 	case *engine:
 		saveHeader(cw, engineKind(v.useAP, v.useL2), v.p, v.kernel, v.now, v.begun, v.clock)
-		cw.u32(uint32(len(v.lists)))
-		for d, ch := range v.lists {
-			cw.u32(d)
-			saveChain(cw, &v.ar, &v.slots, ch, true)
-		}
-		saveRes(cw, v.res, &v.slots)
-		if v.useAP {
-			cw.u32(uint32(len(v.m)))
-			for d, val := range v.m {
-				cw.u32(d)
-				cw.f64(val)
-			}
-			cw.u32(uint32(len(v.mhatVal)))
-			for d, val := range v.mhatVal {
-				cw.u32(d)
-				cw.f64(val)
-				cw.f64(v.mhatT[d])
-			}
-			saveTouch(cw, v.lastTouch)
-		}
-	case *parEngine:
-		// The sharded engine's state is dimension-partitioned but
-		// otherwise identical to the sequential engine's, so it shares
-		// the wire format: a checkpoint written with Workers=N restores
-		// under any Workers value, including 1.
-		saveHeader(cw, engineKind(v.useAP, v.useL2), v.p, v.kernel, v.now, v.begun, v.clock)
-		nLists := 0
-		for _, sh := range v.shards {
-			nLists += len(sh.lists)
-		}
-		cw.u32(uint32(nLists))
-		for _, sh := range v.shards {
-			for d, ch := range sh.lists {
-				cw.u32(d)
-				saveChain(cw, &sh.ar, &v.slots, ch, true)
-			}
-		}
-		saveRes(cw, v.res, &v.slots)
-		if v.useAP {
-			cw.u32(uint32(len(v.m)))
-			for d, val := range v.m {
-				cw.u32(d)
-				cw.f64(val)
-			}
-			nMh := 0
-			for _, sh := range v.shards {
-				nMh += len(sh.mhatVal)
-			}
-			cw.u32(uint32(nMh))
-			for _, sh := range v.shards {
-				for d, val := range sh.mhatVal {
-					cw.u32(d)
-					cw.f64(val)
-					cw.f64(sh.mhatT[d])
-				}
-			}
-			saveTouch(cw, v.lastTouch)
-		}
-	case *parInv:
-		saveHeader(cw, INV, v.p, v.kernel, v.now, v.begun, v.clock)
-		nLists := 0
-		for _, sh := range v.shards {
-			nLists += len(sh.lists)
-		}
-		cw.u32(uint32(nLists))
-		for _, sh := range v.shards {
-			for d, ch := range sh.lists {
-				cw.u32(d)
-				saveChain(cw, &sh.ar, &v.slots, ch, false)
-			}
+		saveLists(cw, true, postings{&v.ar, v.lists, &v.slots})
+		saveEngine(cw, &v.icCore, v.mhatVal, v.mhatT, v.lastTouch)
+	case *group:
+		// A shard group writes the sequential format, so a checkpoint
+		// restores under any Workers value: the header, residuals and
+		// statistics of shard 0 (every shard holds the same) and the
+		// union of the shards' posting lists.
+		if len(v.engines) > 0 {
+			s0 := v.engines[0]
+			saveHeader(cw, engineKind(s0.useAP, s0.useL2), s0.p, s0.kernel, s0.now, s0.begun, s0.clock)
+			saveLists(cw, true, v.postings()...)
+			saveEngine(cw, &s0.icCore, s0.mhatVal, s0.mhatT, s0.lastTouch)
+		} else {
+			s0 := v.invs[0]
+			saveHeader(cw, INV, s0.p, s0.kernel, s0.now, s0.begun, s0.clock)
+			saveLists(cw, false, v.postings()...)
 		}
 	default:
 		return fmt.Errorf("streaming: cannot checkpoint %T", ix)
@@ -206,6 +148,50 @@ func SaveFull(ix Index, et *EventTimeState, w io.Writer) error {
 		return cw.err
 	}
 	return bw.Flush()
+}
+
+// postings is one arena's posting lists with the slot table their
+// entries are keyed by.
+type postings struct {
+	ar    *parena
+	lists map[uint32]*chain
+	slots *slotTab
+}
+
+// saveLists writes the list count, then each list's dimension and chain.
+func saveLists(cw *ckptWriter, withPnorm bool, ps ...postings) {
+	n := 0
+	for _, p := range ps {
+		n += len(p.lists)
+	}
+	cw.u32(uint32(n))
+	for _, p := range ps {
+		for d, ch := range p.lists {
+			cw.u32(d)
+			saveChain(cw, p.ar, p.slots, ch, withPnorm)
+		}
+	}
+}
+
+// saveEngine writes a prefix-filtering engine's residual index and, for
+// the AP engines, m, m̂λ and lastTouch.
+func saveEngine(cw *ckptWriter, ic *icCore, mhatVal, mhatT, lastTouch map[uint32]float64) {
+	saveRes(cw, ic.res, &ic.slots)
+	if !ic.useAP {
+		return
+	}
+	cw.u32(uint32(len(ic.m)))
+	for d, val := range ic.m {
+		cw.u32(d)
+		cw.f64(val)
+	}
+	cw.u32(uint32(len(mhatVal)))
+	for d, val := range mhatVal {
+		cw.u32(d)
+		cw.f64(val)
+		cw.f64(mhatT[d])
+	}
+	saveTouch(cw, lastTouch)
 }
 
 // saveChain writes one posting chain in the v3 block framing plus the
@@ -353,8 +339,10 @@ func saveRes(cw *ckptWriter, res *lhmap.Map[uint64, *smeta], slots *slotTab) {
 
 // Load restores an index saved by Save. opts supplies runtime-only state
 // (counters, ablations, the Workers count — a checkpoint restores under
-// any Workers value, regardless of the value it was saved with — and,
-// when the checkpoint used a custom kernel, the kernel itself). The
+// any Workers value, regardless of the value it was saved with: the file
+// decodes into the sequential engine, whose exact state a Workers > 1
+// shard group then adopts — and, when the checkpoint used a custom
+// kernel, the kernel itself). The
 // Foreign flag likewise is operator config, chosen at load time: a v4
 // checkpoint restores each item's side bit, and a file written before
 // sides existed (v1–v3) loads into a foreign-join engine with every
@@ -418,6 +406,8 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 	// it (the selector restarts from the checkpointed kind).
 	adaptOpts := opts
 	opts.Adapt = Adapt{}
+	groupOpts := opts
+	opts.Workers = 0
 	ix, err := New(kind, p, opts)
 	if err != nil {
 		return nil, nil, err
@@ -470,15 +460,6 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 			v.ar.pushTo(v.lists, d, slot, t, val, 0)
 		}
 		doneInv = func() { rebuildLive(&v.live, &v.slots) }
-	case *parInv:
-		v.now, v.begun = now, begun
-		v.clock = sweepClock{last: lastSweep, swept: swept}
-		slots = &v.slots
-		putEntry = func(d uint32, slot uint32, t, val, _ float64) {
-			sh := v.shards[v.owner(d)]
-			sh.ar.pushTo(sh.lists, d, slot, t, val, 0)
-		}
-		doneInv = func() { rebuildLive(&v.live, &v.slots) }
 	case *engine:
 		v.now, v.begun = now, begun
 		v.clock = sweepClock{last: lastSweep, swept: swept}
@@ -495,26 +476,6 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 		putMhat = func(d uint32, val, t float64) {
 			v.mhatVal[d] = val
 			v.mhatT[d] = t
-			v.lastTouch[d] = now
-		}
-		putTouch = func(d uint32, t float64) { v.lastTouch[d] = t }
-	case *parEngine:
-		v.now, v.begun = now, begun
-		v.clock = sweepClock{last: lastSweep, swept: swept}
-		useAP = v.useAP
-		slots = &v.slots
-		putEntry = func(d uint32, slot uint32, t, val, pnorm float64) {
-			v.pushEntry(d, slot, t, val, pnorm)
-		}
-		putRes = v.putResidual
-		putM = func(d uint32, val float64) {
-			v.m[d] = val
-			v.lastTouch[d] = now
-		}
-		putMhat = func(d uint32, val, t float64) {
-			sh := v.shards[v.owner(d)]
-			sh.mhatVal[d] = val
-			sh.mhatT[d] = t
 			v.lastTouch[d] = now
 		}
 		putTouch = func(d uint32, t float64) { v.lastTouch[d] = t }
@@ -634,6 +595,16 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 			return nil, nil, err
 		}
 		return aix, et, nil
+	}
+	if groupOpts.Workers > 1 {
+		gix, err := New(kind, p, groupOpts)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := gix.(*group).adopt(ix); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		}
+		ix = gix
 	}
 	return ix, et, nil
 }

@@ -247,123 +247,6 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 	}
 }
 
-// shardScanScalar is the frozen scalar body of parEngine.shardScan: one
-// in-process shard's share of Algorithm 7.
-func (e *parEngine) shardScanScalar(sh *parShard, s int, x stream.Item, pnx, sqAbove, mh []float64, rs1Total float64) {
-	dims, vals := x.Vec.Dims, x.Vec.Vals
-	sh.acc.Begin(e.slots.span())
-	a := &sh.acc
-	rs1 := rs1Total // minus the s-owned terms past the current position
-	ownSqAbove := 0.0
-
-	for i := len(dims) - 1; i >= 0; i-- {
-		d, xj := dims[i], vals[i]
-		if e.owner(d) != s {
-			continue
-		}
-		if ch := sh.lists[d]; ch != nil {
-			process := func(ai int) {
-				sh.traversed++
-				sl := sh.ar.slot[ai]
-				if a.Dead[sl] == a.Epoch {
-					return
-				}
-				if a.Mark[sl] != a.Epoch {
-					// Foreign-join side gating first: a same-side item is
-					// not a candidate in any shard (the slot table is
-					// read-only during the fan-out), so declining it here
-					// is globally sound.
-					if e.foreign && !apss.CrossSide(e.slots.side[sl], x.Side) {
-						a.Decline(sl)
-						return
-					}
-					// Shard-local admission: both bounds dominate the
-					// candidate's total similarity (see file comment).
-					bound := math.Inf(1)
-					if e.useAP {
-						bound = rs1
-					}
-					if e.useL2 {
-						cross := sqAbove[i] - ownSqAbove
-						if cross < 0 {
-							cross = 0
-						}
-						decay := e.kernel.Factor(x.Time - sh.ar.t[ai])
-						if b := decay * (pnx[i+1] + math.Sqrt(cross)); b < bound {
-							bound = b
-						}
-					}
-					if bound < e.p.Theta-boundSlack {
-						a.Decline(sl)
-						return
-					}
-					a.Admit(sl)
-				}
-				a.Dot[sl] += xj * sh.ar.val[ai]
-			}
-			if e.useAP {
-				// Re-indexing may have broken time order, so scan forward
-				// through the whole chain, compacting expired entries.
-				removed := sh.ar.compact(ch, func(ai int) bool {
-					if x.Time-sh.ar.t[ai] > e.tau {
-						sh.traversed++
-						return false
-					}
-					process(ai)
-					return true
-				})
-				sh.expired += int64(removed)
-			} else {
-				removed := sh.ar.descendCut(ch, x.Time, e.tau, process)
-				sh.expired += int64(removed)
-			}
-			if ch.n == 0 {
-				delete(sh.lists, d)
-			}
-		}
-		if e.useAP {
-			rs1 -= xj * mh[i]
-		}
-		ownSqAbove += xj * xj
-	}
-}
-
-// shardScanScalar is the frozen scalar body of parInv's per-shard scan.
-func (ix *parInv) shardScanScalar(sh *invShard, s int, x stream.Item) {
-	dims, vals := x.Vec.Dims, x.Vec.Vals
-	sh.acc.Begin(ix.slots.span())
-	a := &sh.acc
-	for i, d := range dims {
-		if ix.owner(d) != s {
-			continue
-		}
-		xj := vals[i]
-		ch := sh.lists[d]
-		if ch == nil {
-			continue
-		}
-		removed := sh.ar.descendCut(ch, x.Time, ix.tau, func(ai int) {
-			sh.traversed++
-			sl := sh.ar.slot[ai]
-			// Foreign-join side gating: the slot table is read-only
-			// during the fan-out, so every shard sees the same sides.
-			if ix.foreign && !apss.CrossSide(ix.slots.side[sl], x.Side) {
-				return
-			}
-			if a.Mark[sl] != a.Epoch {
-				a.Admit(sl)
-			}
-			a.Dot[sl] += xj * sh.ar.val[ai]
-		})
-		if removed > 0 {
-			sh.expired += int64(removed)
-			if ch.n == 0 {
-				delete(sh.lists, d)
-			}
-		}
-	}
-}
-
 // scanScalar is the frozen scalar body of the shardInv (cluster-worker
 // STR-INV) candidate scan over owned dimensions.
 func (ix *shardInv) scanScalar(x stream.Item) {

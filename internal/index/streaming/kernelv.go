@@ -263,14 +263,13 @@ func (e *engine) vBlock(q *coord, base, lo, hi int, live uint16, ordered bool, d
 
 // ---------------------------------------------------------------------------
 // STR-INV family: no pruning, so the only block work is the batched
-// product scatter. One helper serves the sequential index, the cluster
-// worker, and the in-process shards.
+// product scatter. One helper serves the sequential index and the
+// cluster worker.
 
 // vScanInv is the vectorized STR-INV chain scan: the time-ordered
 // backward walk of descendCut at block granularity, with the coordinate
-// products batched per block. candidates is nil when admissions are not
-// counted per lane (parInv counts at merge time). Returns the number of
-// entries the expiry cut removed.
+// products batched per block. Returns the number of entries the expiry
+// cut removed.
 func vScanInv(ar *parena, ch *chain, a *accum.Dense, slots *slotTab, pr *[blockCap]float64,
 	x stream.Item, xj, tau float64, foreign bool, traversed, candidates *int64) int {
 	return ar.vdescend(ch, x.Time, tau, func(base, lo, hi int) {
@@ -284,9 +283,7 @@ func vScanInv(ar *parena, ch *chain, a *accum.Dense, slots *slotTab, pr *[blockC
 			}
 			if a.Mark[sl] != a.Epoch {
 				a.Admit(sl)
-				if candidates != nil {
-					*candidates++
-				}
+				*candidates++
 			}
 			a.Dot[sl] += lanes[j-lo]
 		}
@@ -333,46 +330,16 @@ func (ix *shardInv) scanVec(x stream.Item) {
 	}
 }
 
-// shardScanVec is the vectorized body of parInv's per-shard scan.
-// Admissions are not counted here: the coordinator counts candidates on
-// the merged accumulator.
-func (ix *parInv) shardScanVec(sh *invShard, s int, x stream.Item) {
-	sh.acc.Begin(ix.slots.span())
-	for i, d := range x.Vec.Dims {
-		if ix.owner(d) != s {
-			continue
-		}
-		ch := sh.lists[d]
-		if ch == nil {
-			continue
-		}
-		removed := vScanInv(&sh.ar, ch, &sh.acc, &ix.slots, &sh.prLanes,
-			x, x.Vec.Vals[i], ix.tau, ix.foreign, &sh.traversed, nil)
-		if removed > 0 {
-			sh.expired += int64(removed)
-			if ch.n == 0 {
-				delete(sh.lists, d)
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Sharded prefix-filtering scans (in-process parEngine shards and the
-// cluster-worker shardEngine). The shard-local admission bound is
-// min(rs1, decay·geo) with geo hoisted per dimension: ‖x_{≤i}‖ +
-// ‖x_{>i} on other shards‖ for parEngine (see parallel.go), the tighter
-// √(‖x_{≤i}‖² + ‖x_{>i} on other shards‖²) for shardEngine (see
-// shard.go). That is the sequential engine's monotone form with geo for
-// rs2 and θ−boundSlack for θ, so the same admission window gives the
-// same whole-block decline and admit tiers. parEngine shards have no
-// early kill, hence no decay cache, and evaluate the factor only inside
-// a window's undecided band; shardEngine's kill caches it per candidate
-// exactly as engine.vBlock does.
+// Cluster-worker prefix-filtering scan (shardEngine). The shard-local
+// admission bound is min(rs1, decay·geo) with geo = √(‖x_{≤i}‖² +
+// ‖x_{>i} on other shards‖²) hoisted per dimension (see shard.go). That
+// is the sequential engine's monotone form with geo for rs2 and
+// θ−boundSlack for θ, so the same admission window gives the same
+// whole-block decline and admit tiers. The early kill caches each
+// candidate's decay exactly as engine.vBlock does.
 
-// vShardScan carries the per-item plumbing of one shard scan so the
-// block walks can be shared between parEngine (per-shard counters, no
-// per-lane candidate count) and shardEngine (engine counters).
+// vShardScan carries the per-item plumbing of one worker's scan.
 type vShardScan struct {
 	ar         *parena
 	a          *accum.Dense
@@ -384,12 +351,12 @@ type vShardScan struct {
 	now        float64 // the query's time and side
 	side       apss.Side
 	traversed  *int64
-	candidates *int64 // nil: admissions not counted per lane
+	candidates *int64
 
-	// kill enables shardEngine's early ℓ2 kill (bound 2 in shard.go),
-	// which needs the decay cache (accum.Dense.BeginDecay) and ystat.
-	// c and pnx are the current coordinate's ‖x on other shards above
-	// it‖ and ‖x before it‖.
+	// kill enables the early ℓ2 kill (bound 2 in shard.go), which needs
+	// the decay cache (accum.Dense.BeginDecay) and ystat. c and pnx are
+	// the current coordinate's ‖x on other shards above it‖ and ‖x
+	// before it‖.
 	kill   bool
 	ystat  []shardSlot
 	c, pnx float64
@@ -463,9 +430,7 @@ func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, dtMin, d
 			if v.kill {
 				a.Decay[sl] = d
 			}
-			if v.candidates != nil {
-				*v.candidates++
-			}
+			*v.candidates++
 		}
 		dot := a.Dot[sl] + xj*ar.val[ai]
 		a.Dot[sl] = dot
@@ -542,47 +507,5 @@ func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
 		if e.useAP {
 			rs1 -= xj * e.mhatAt(d)
 		}
-	}
-}
-
-// shardScanVec is the block-kernel body of parEngine.shardScan: one
-// in-process shard's share of Algorithm 7. Candidates are counted on
-// the merged accumulator, not here.
-func (e *parEngine) shardScanVec(sh *parShard, s int, x stream.Item, pnx, sqAbove, mh []float64, rs1Total float64) {
-	dims, vals := x.Vec.Dims, x.Vec.Vals
-	sh.acc.Begin(e.slots.span())
-	rs1 := rs1Total // minus the s-owned terms past the current position
-	ownSqAbove := 0.0
-
-	v := vShardScan{
-		ar: &sh.ar, a: &sh.acc, slots: &e.slots,
-		kernel: e.kernel, useAP: e.useAP,
-		cut: e.p.Theta - boundSlack, tau: e.tau, foreign: e.foreign,
-		now: x.Time, side: x.Side,
-		traversed: &sh.traversed, candidates: nil,
-	}
-	for i := len(dims) - 1; i >= 0; i-- {
-		d, xj := dims[i], vals[i]
-		if e.owner(d) != s {
-			continue
-		}
-		if ch := sh.lists[d]; ch != nil {
-			geo := math.Inf(1)
-			if e.useL2 {
-				cross := sqAbove[i] - ownSqAbove
-				if cross < 0 {
-					cross = 0
-				}
-				geo = pnx[i+1] + math.Sqrt(cross)
-			}
-			sh.expired += int64(v.scan(ch, xj, rs1, geo))
-			if ch.n == 0 {
-				delete(sh.lists, d)
-			}
-		}
-		if e.useAP {
-			rs1 -= xj * mh[i]
-		}
-		ownSqAbove += xj * xj
 	}
 }

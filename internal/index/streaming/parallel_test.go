@@ -8,6 +8,7 @@ import (
 
 	"sssj/internal/apss"
 	"sssj/internal/dimorder"
+	"sssj/internal/metrics"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
@@ -30,13 +31,11 @@ func runKind(t *testing.T, kind Kind, p apss.Params, opts Options, items []strea
 	return out
 }
 
-// TestParallelParity: the sharded engine must produce the same match set
-// as the sequential engine on the same stream, for every kind, worker
-// count, and parameter setting. For the prefix-filtering engines the
-// similarities must be bit-identical (the parallel path recomputes the
-// indexed partial dot in the sequential scan's summation order); STR-INV
-// merges per-shard partial sums, so its similarities may differ in the
-// last float bits and are compared with a tight tolerance.
+// TestParallelParity: the shard group must produce the same match set as
+// the sequential engine on the same stream, for every kind, worker
+// count, and parameter setting, with bit-identical similarities: every
+// shard recomputes a verified pair's dot product in the sequential
+// scan's summation order.
 func TestParallelParity(t *testing.T) {
 	for _, kind := range []Kind{INV, L2, L2AP, AP} {
 		for _, p := range []apss.Params{
@@ -50,11 +49,8 @@ func TestParallelParity(t *testing.T) {
 				for _, workers := range []int{2, 3, 8} {
 					t.Run(fmt.Sprintf("%v/theta=%g/lambda=%g/seed=%d/w=%d", kind, p.Theta, p.Lambda, seed, workers), func(t *testing.T) {
 						got := runKind(t, kind, p, Options{Workers: workers}, items)
-						if !apss.EqualMatchSets(got, want, 1e-9) {
-							t.Fatalf("match sets diverge: parallel %d vs sequential %d", len(got), len(want))
-						}
-						if kind != INV && !equalMatchesExact(got, want) {
-							t.Fatalf("similarities not bit-identical to sequential engine")
+						if !equalMatchesExact(got, want) {
+							t.Fatalf("not bit-identical to the sequential engine: %d vs %d matches", len(got), len(want))
 						}
 					})
 				}
@@ -85,10 +81,12 @@ func equalMatchesExact(a, b []apss.Match) bool {
 	return true
 }
 
-// TestParallelStateParity: beyond the output, the sharded engine's index
+// TestParallelStateParity: beyond the output, the shard group's index
 // state (posting entries, residuals, lists, tracked dimensions) must
-// evolve exactly as the sequential engine's, since insertion, re-indexing,
-// expiry, and sweeping are replicated dimension for dimension.
+// evolve exactly as the sequential engine's: the shards partition the
+// posting lists, and every shard sees every item, so insertion,
+// re-indexing, expiry, and sweeping are replicated dimension for
+// dimension.
 func TestParallelStateParity(t *testing.T) {
 	p := apss.Params{Theta: 0.6, Lambda: 0.05}
 	for _, kind := range []Kind{INV, L2, L2AP} {
@@ -109,8 +107,8 @@ func TestParallelStateParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The sequential engine prunes expired entries lazily on the
-			// lists each query touches; the parallel engine does the same
-			// per shard. Compare at every step.
+			// lists each query touches; the shard group does the same per
+			// shard. Compare at every step.
 			if seq.Size() != par.Size() {
 				t.Fatalf("%v: state diverged at item %d: seq %+v par %+v", kind, i, seq.Size(), par.Size())
 			}
@@ -118,8 +116,8 @@ func TestParallelStateParity(t *testing.T) {
 	}
 }
 
-// TestParallelTimeOrder: the sharded engines reject out-of-order items
-// like the sequential ones.
+// TestParallelTimeOrder: the shard group rejects out-of-order items like
+// the sequential engines.
 func TestParallelTimeOrder(t *testing.T) {
 	p := apss.Params{Theta: 0.5, Lambda: 0.1}
 	for _, kind := range []Kind{INV, L2, L2AP} {
@@ -159,9 +157,9 @@ func TestParallelOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpointRoundtrip: a checkpoint saved from a sharded
-// engine restores — under the same or a different worker count, including
-// 1 — and continues exactly like an uninterrupted sequential run.
+// TestParallelCheckpointRoundtrip: a checkpoint saved from a shard group
+// restores — under the same or a different worker count, including 1 —
+// and continues exactly like an uninterrupted sequential run.
 func TestParallelCheckpointRoundtrip(t *testing.T) {
 	p := apss.Params{Theta: 0.6, Lambda: 0.05}
 	for _, kind := range []Kind{INV, L2, L2AP} {
@@ -208,12 +206,89 @@ func TestParallelCheckpointRoundtrip(t *testing.T) {
 				}
 				got = append(got, ms...)
 			}
-			if !apss.EqualMatchSets(got, want, 1e-9) {
+			if !equalMatchesExact(got, want) {
 				t.Fatalf("%v loadWorkers=%d: resumed parallel run diverged (%d vs %d)",
 					kind, loadWorkers, len(got), len(want))
 			}
 			if second.Size() != ref.Size() {
 				t.Fatalf("%v loadWorkers=%d: size %+v vs %+v", kind, loadWorkers, second.Size(), ref.Size())
+			}
+		}
+	}
+}
+
+// TestWorkersResumeCounters: a Workers: 3 run checkpointed at item 200
+// of 400 and resumed under Workers: 3 must continue exactly like the
+// uninterrupted run — the same matches bit for bit and the same pruning
+// work. The counters are the point: a restored shard whose per-slot
+// statistics came out looser would still emit the right pairs, only
+// with more candidates, full dots, or scanned entries.
+func TestWorkersResumeCounters(t *testing.T) {
+	const n, split = 400, 200
+	for _, kind := range []Kind{L2, L2AP, AP} {
+		for _, p := range []apss.Params{
+			{Theta: 0.5, Lambda: 0.05},
+			{Theta: 0.7, Lambda: 0.01},
+			{Theta: 0.9, Lambda: 0.2},
+		} {
+			for seed := int64(0); seed < 4; seed++ {
+				t.Run(fmt.Sprintf("%v/theta=%g/lambda=%g/seed=%d", kind, p.Theta, p.Lambda, seed), func(t *testing.T) {
+					items := fuzzItems(seed, n)
+					var ref metrics.Counters
+					whole, err := New(kind, p, Options{Workers: 3, Counters: &ref})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []apss.Match
+					for i, it := range items {
+						if i == split {
+							ref = metrics.Counters{}
+						}
+						ms, err := whole.Add(it)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i >= split {
+							want = append(want, ms...)
+						}
+					}
+
+					first, err := New(kind, p, Options{Workers: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, it := range items[:split] {
+						if _, err := first.Add(it); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var buf bytes.Buffer
+					if err := Save(first, &buf); err != nil {
+						t.Fatal(err)
+					}
+					var got metrics.Counters
+					second, err := Load(&buf, Options{Workers: 3, Counters: &got})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var gotMs []apss.Match
+					for _, it := range items[split:] {
+						ms, err := second.Add(it)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotMs = append(gotMs, ms...)
+					}
+					if len(want) == 0 {
+						t.Fatal("no matches after the split; the check is vacuous")
+					}
+					if !equalMatchesExact(gotMs, want) {
+						t.Fatalf("resumed run diverged: %d vs %d matches", len(gotMs), len(want))
+					}
+					if got.Candidates != ref.Candidates || got.FullDots != ref.FullDots || got.EntriesTraversed != ref.EntriesTraversed {
+						t.Fatalf("resumed run lost pruning:\nresumed       %+v\nuninterrupted %+v", got, ref)
+					}
+				})
 			}
 		}
 	}

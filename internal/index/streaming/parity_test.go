@@ -11,10 +11,8 @@ import (
 
 // This file holds the arena-vs-ring oracle tests: the frozen ring-backed
 // implementations in ring.go are fed the same streams as the arena-backed
-// engines New returns, and the outputs must agree bit for bit (for the
-// sequential engines), or as match sets (for the sharded ones, whose INV
-// summation order differs in the last float bits), with identical
-// SizeInfo accounting at every step.
+// engines New returns, and the outputs must agree bit for bit, with
+// identical SizeInfo accounting at every step.
 
 // newRingIndex builds the ring-backed reference for kind.
 func newRingIndex(t testing.TB, kind Kind, p apss.Params) SinkIndex {
@@ -37,10 +35,8 @@ func newRingIndex(t testing.TB, kind Kind, p apss.Params) SinkIndex {
 }
 
 // runParity feeds items to the ring oracle and an arena index built with
-// the given worker count, comparing matches and SizeInfo after every
-// item. Sequential (workers ≤ 1) runs must be bit-identical; sharded
-// runs are compared as match sets (exact for the prefix-filtering
-// engines, within 1e-9 for INV, mirroring TestParallelParity).
+// the given worker count, comparing matches (bit for bit) and SizeInfo
+// after every item.
 func runParity(t *testing.T, kind Kind, p apss.Params, workers int, items []stream.Item) {
 	t.Helper()
 	ring := newRingIndex(t, kind, p)
@@ -54,19 +50,8 @@ func runParity(t *testing.T, kind Kind, p apss.Params, workers int, items []stre
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("item %d: error divergence ring=%v arena=%v", i, err1, err2)
 		}
-		switch {
-		case workers <= 1:
-			if !equalMatchesExact(gotMs, wantMs) {
-				t.Fatalf("item %d: matches not bit-identical: arena %v ring %v", i, gotMs, wantMs)
-			}
-		case kind == INV:
-			if !apss.EqualMatchSets(gotMs, wantMs, 1e-9) {
-				t.Fatalf("item %d: match sets diverge (%d vs %d)", i, len(gotMs), len(wantMs))
-			}
-		default:
-			if !equalMatchesExact(gotMs, wantMs) {
-				t.Fatalf("item %d: matches not bit-identical: arena %v ring %v", i, gotMs, wantMs)
-			}
+		if !equalMatchesExact(gotMs, wantMs) {
+			t.Fatalf("item %d: matches not bit-identical: arena %v ring %v", i, gotMs, wantMs)
 		}
 		if rs, as := ring.Size(), arena.Size(); rs != as {
 			t.Fatalf("item %d: SizeInfo diverged: ring %+v arena %+v", i, rs, as)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sssj/internal/apss"
+	"sssj/internal/lhmap"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
@@ -36,7 +37,7 @@ import (
 //     the horizon, so surviving entries always belong to their slot's
 //     current owner).
 
-// inserter is the index-without-querying face shared by the four engine
+// inserter is the index-without-querying face shared by the engine
 // types. Items must arrive in non-decreasing time order, like AddTo.
 type inserter interface {
 	insert(x stream.Item) error
@@ -60,9 +61,10 @@ func (e *engine) insert(x stream.Item) error {
 	return nil
 }
 
-// insert implements inserter for the sharded prefix engine. All state is
-// touched from the calling goroutine; no fan-out is involved.
-func (e *parEngine) insert(x stream.Item) error {
+// insert implements inserter for the cluster-worker prefix engine: the
+// same index-construction half, with the push hook keeping owned entries
+// and the per-slot statistics.
+func (e *shardEngine) insert(x stream.Item) error {
 	if e.begun && x.Time < e.now {
 		return ErrTimeOrder
 	}
@@ -96,19 +98,23 @@ func (ix *invIndex) insert(x stream.Item) error {
 	return nil
 }
 
-// insert implements inserter for sharded INV.
-func (ix *parInv) insert(x stream.Item) error {
+// insert implements inserter for cluster-worker INV.
+func (ix *shardInv) insert(x stream.Item) error {
 	if ix.begun && x.Time < ix.now {
 		return ErrTimeOrder
 	}
 	ix.advanceTo(x.Time)
-	if len(x.Vec.Dims) > 0 {
-		sl := ix.slots.alloc(x.ID, x.Time, x.Side)
-		ix.live.PushBack(sl)
-		for i, d := range x.Vec.Dims {
-			sh := ix.shards[ix.owner(d)]
-			sh.ar.pushTo(sh.lists, d, sl, x.Time, x.Vec.Vals[i], 0)
-			ix.c.IndexedEntries++
+	ix.index(x)
+	return nil
+}
+
+// insert implements inserter for the in-process shard group: every shard
+// indexes x, as every shard sees every item in AddTo.
+func (g *group) insert(x stream.Item) error {
+	defer g.forward()
+	for _, s := range g.shards {
+		if err := s.(inserter).insert(x); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -126,91 +132,49 @@ type liveState struct {
 	clock  sweepClock
 }
 
-// extractLive recovers the live window from one of the four engine
-// types. Items come back in non-decreasing time order (ties broken by
-// id), in the engine's current dimension space.
+// extractLive recovers the live window from an engine. Items come back
+// in non-decreasing time order (ties broken by id), in the engine's
+// current dimension space. A shard group's shards hold identical
+// residual sets and slot tables, so shard 0 speaks for the group, except
+// that INV's chains are split across all of them.
 func extractLive(ix Index) (liveState, error) {
 	var st liveState
-	appendRes := func(id uint64, m *smeta, slots *slotTab) {
-		st.items = append(st.items, stream.Item{
-			ID:   id,
-			Time: m.t,
-			Side: slots.side[m.slot],
-			Vec:  m.vec,
+	fromRes := func(res *lhmap.Map[uint64, *smeta], slots *slotTab) {
+		res.Ascend(func(id uint64, m *smeta) bool {
+			st.items = append(st.items, stream.Item{ID: id, Time: m.t, Side: slots.side[m.slot], Vec: m.vec})
+			return true
 		})
 	}
-	// chainItems reconstructs items from INV chains: group live entries
-	// by slot, then materialize one vector per slot.
-	type build struct {
-		dims []uint32
-		vals []float64
-	}
-	builds := map[uint32]*build{}
-	collectChains := func(ar *parena, lists map[uint32]*chain, horizonStart float64) {
-		for d, ch := range lists {
-			for b := ch.oldest; b >= 0; b = ar.newer[b] {
-				base := int(b) << blockShift
-				for i := ar.off[b]; i < ar.end[b]; i++ {
-					ai := base + int(i)
-					if ar.t[ai] < horizonStart {
-						continue
-					}
-					sl := ar.slot[ai]
-					bu := builds[sl]
-					if bu == nil {
-						bu = &build{}
-						builds[sl] = bu
-					}
-					bu.dims = append(bu.dims, d)
-					bu.vals = append(bu.vals, ar.val[ai])
-				}
-			}
+	fromChains := func(slots *slotTab, from float64, ps ...postings) error {
+		vs, err := chainVectors(from, ps...)
+		for sl, v := range vs {
+			st.items = append(st.items, stream.Item{ID: slots.id[sl], Time: slots.t[sl], Side: slots.side[sl], Vec: v})
 		}
+		return err
 	}
-	finishChains := func(slots *slotTab) error {
-		for sl, bu := range builds {
-			v, err := vec.New(bu.dims, bu.vals)
-			if err != nil {
-				return fmt.Errorf("streaming: live window reconstruction: %v", err)
-			}
-			st.items = append(st.items, stream.Item{
-				ID:   slots.id[sl],
-				Time: slots.t[sl],
-				Side: slots.side[sl],
-				Vec:  v,
-			})
-		}
-		return nil
-	}
+	var err error
 	switch v := ix.(type) {
 	case *engine:
 		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		v.res.Ascend(func(id uint64, m *smeta) bool {
-			appendRes(id, m, &v.slots)
-			return true
-		})
-	case *parEngine:
-		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		v.res.Ascend(func(id uint64, m *smeta) bool {
-			appendRes(id, m, &v.slots)
-			return true
-		})
+		fromRes(v.res, &v.slots)
 	case *invIndex:
 		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		collectChains(&v.ar, v.lists, v.now-v.tau)
-		if err := finishChains(&v.slots); err != nil {
-			return liveState{}, err
-		}
-	case *parInv:
-		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		for _, sh := range v.shards {
-			collectChains(&sh.ar, sh.lists, v.now-v.tau)
-		}
-		if err := finishChains(&v.slots); err != nil {
-			return liveState{}, err
+		err = fromChains(&v.slots, v.now-v.tau, postings{&v.ar, v.lists, &v.slots})
+	case *group:
+		if len(v.engines) > 0 {
+			s0 := v.engines[0]
+			st.p, st.kernel, st.now, st.begun, st.clock = s0.p, s0.kernel, s0.now, s0.begun, s0.clock
+			fromRes(s0.res, &s0.slots)
+		} else {
+			s0 := v.invs[0]
+			st.p, st.kernel, st.now, st.begun, st.clock = s0.p, s0.kernel, s0.now, s0.begun, s0.clock
+			err = fromChains(&s0.slots, s0.now-s0.tau, v.postings()...)
 		}
 	default:
 		return liveState{}, fmt.Errorf("streaming: cannot extract the live window of %T", ix)
+	}
+	if err != nil {
+		return liveState{}, err
 	}
 	sort.SliceStable(st.items, func(a, b int) bool {
 		if st.items[a].Time != st.items[b].Time {
@@ -221,20 +185,79 @@ func extractLive(ix Index) (liveState, error) {
 	return st, nil
 }
 
-// clockOf reads the clock state of one of the four engine types without
-// the full window reconstruction extractLive performs.
+// chainVectors rebuilds from STR-INV posting chains the vector of every
+// slot holding an entry at time ≥ from: INV indexes every coordinate, so
+// a slot's entries across all chains are its item's full vector (slots
+// recycle only past the horizon, so surviving entries always belong to
+// their slot's current owner).
+func chainVectors(from float64, ps ...postings) (map[uint32]vec.Vector, error) {
+	type build struct {
+		dims []uint32
+		vals []float64
+	}
+	builds := map[uint32]*build{}
+	for _, p := range ps {
+		ar := p.ar
+		for d, ch := range p.lists {
+			ar.ascend(ch, func(ai int) {
+				if ar.t[ai] < from {
+					return
+				}
+				bu := builds[ar.slot[ai]]
+				if bu == nil {
+					bu = &build{}
+					builds[ar.slot[ai]] = bu
+				}
+				bu.dims = append(bu.dims, d)
+				bu.vals = append(bu.vals, ar.val[ai])
+			})
+		}
+	}
+	out := make(map[uint32]vec.Vector, len(builds))
+	for sl, bu := range builds {
+		v, err := vec.New(bu.dims, bu.vals)
+		if err != nil {
+			return nil, fmt.Errorf("streaming: live window reconstruction: %v", err)
+		}
+		out[sl] = v
+	}
+	return out, nil
+}
+
+// clockOf reads an engine's clock state without the full window
+// reconstruction extractLive performs.
 func clockOf(ix Index) (now float64, begun bool, clock sweepClock, ok bool) {
 	switch v := ix.(type) {
 	case *engine:
 		return v.now, v.begun, v.clock, true
-	case *parEngine:
-		return v.now, v.begun, v.clock, true
 	case *invIndex:
 		return v.now, v.begun, v.clock, true
-	case *parInv:
+	case *shardEngine:
 		return v.now, v.begun, v.clock, true
+	case *shardInv:
+		return v.now, v.begun, v.clock, true
+	case *group:
+		return clockOf(v.shards[0])
 	}
 	return 0, false, sweepClock{}, false
+}
+
+// setClock stamps an engine's clock state (every shard of a group).
+func setClock(ix Index, now float64, begun bool, clock sweepClock) {
+	switch v := ix.(type) {
+	case *engine:
+		v.now, v.begun, v.clock = now, begun, clock
+	case *invIndex:
+		v.now, v.begun, v.clock = now, begun, clock
+	case *shardEngine:
+		v.now, v.begun, v.clock = now, begun, clock
+	case *shardInv:
+		v.now, v.begun, v.clock = now, begun, clock
+	case *group:
+		for _, s := range v.shards {
+			setClock(s, now, begun, clock)
+		}
+	}
 }
 
 // seedInto replays items (non-decreasing times) into a fresh engine via
@@ -250,15 +273,6 @@ func (st liveState) seedInto(ix SinkIndex) error {
 			return err
 		}
 	}
-	switch v := ix.(type) {
-	case *engine:
-		v.now, v.begun, v.clock = st.now, st.begun, st.clock
-	case *parEngine:
-		v.now, v.begun, v.clock = st.now, st.begun, st.clock
-	case *invIndex:
-		v.now, v.begun, v.clock = st.now, st.begun, st.clock
-	case *parInv:
-		v.now, v.begun, v.clock = st.now, st.begun, st.clock
-	}
+	setClock(ix, st.now, st.begun, st.clock)
 	return nil
 }

@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"math"
+	"slices"
 
 	"sssj/internal/accum"
 	"sssj/internal/apss"
@@ -69,14 +70,15 @@ import (
 // worker exists: a real match always touches the candidate's indexed
 // suffix.
 //
-// Routing requirements (enforced by internal/cluster, stated here
-// because they are what makes the worker's statistics sound):
+// Routing requirements (Route states them as code; internal/cluster
+// and the in-process group both obey them, and they are what makes the
+// worker's statistics sound):
 //
 //   - INV and L2 workers may receive only the items that have at least
 //     one owned dimension. INV has no global statistics, and the L2
 //     boundaries and bounds depend only on the item itself plus
-//     worker-observed candidates.
-//   - L2AP workers must receive EVERY item (broadcast). The monotone
+//     worker-observed candidates. Receiving more is harmless.
+//   - L2AP and AP workers must receive EVERY item (broadcast). The monotone
 //     max vector m decides indexing boundaries, pscores, and the
 //     re-indexing cadence; under selective routing a worker's m would
 //     diverge from the single-process one, moving boundaries and with
@@ -89,9 +91,15 @@ import (
 // is counted by every worker, and IndexedEntries counts the indexing
 // walk (icCore increments per boundary-crossing coordinate) even when
 // the push hook filters the entry to another worker's dimension. The
-// cluster coordinator overrides the stream-level counters (items,
-// pairs, late) with its own and documents the work counters as
-// per-worker sums.
+// cluster coordinator and the in-process group override the
+// stream-level counters (items, pairs, late) with their own and report
+// the work counters as per-worker sums.
+
+// boundSlack is subtracted from θ by every shard-local rejection, so a
+// float rounding difference between a worker's and the sequential
+// summation order can only keep an extra candidate (later rejected
+// exactly), never drop a real match.
+const boundSlack = 1e-9
 
 // sqSlack is added under the square root of ‖y‖² − pn² − y_j², a
 // difference of sums of squares: its rounding (a few ulps of ‖y‖² ≤ 1)
@@ -117,9 +125,30 @@ type Shard struct {
 // enabled reports whether shard mode is on.
 func (s Shard) enabled() bool { return s.N > 0 }
 
-// owns reports whether the worker owns dimension d — the same
-// d mod P partition parEngine uses for its in-process shards.
+// owns reports whether the worker owns dimension d.
 func (s Shard) owns(d uint32) bool { return int(d%uint32(s.N)) == s.ID }
+
+// Route appends to dst the workers of an n-worker group that must
+// receive an item with dimensions dims, under the routing requirements
+// of the file comment: every worker for L2AP and AP, the owners of at
+// least one of its dimensions, in order of first appearance, for INV and
+// L2 (none for an empty vector).
+func Route(kind Kind, n int, dims []uint32, dst []int) []int {
+	if kind == L2AP || kind == AP {
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
+		}
+		return dst
+	}
+	start := len(dst)
+	for _, d := range dims {
+		w := int(d % uint32(n))
+		if !slices.Contains(dst[start:], w) {
+			dst = append(dst, w)
+		}
+	}
+	return dst
+}
 
 // shardEngine is the cluster-worker variant of the prefix-filtering
 // engines (STR-L2, STR-L2AP, STR-AP): icCore index construction with
@@ -515,7 +544,6 @@ func (ix *shardInv) AddTo(x stream.Item, emit apss.Sink) error {
 
 	a := &ix.acc
 	a.Begin(ix.slots.span())
-	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if ix.scalar {
 		ix.scanScalar(x)
 	} else {
@@ -538,33 +566,30 @@ func (ix *shardInv) AddTo(x stream.Item, emit apss.Sink) error {
 		}
 	}
 	ix.c.Pairs += g.Emitted()
+	ix.index(x)
+	return g.Err()
+}
 
-	// Index only items with at least one owned dimension; anything else
-	// can never be discovered here, so retaining it would only grow the
-	// slot space.
-	owned := false
-	for _, d := range dims {
-		if ix.shard.owns(d) {
-			owned = true
-			break
-		}
+// index retains x — its slot, its full vector, its posting entries at
+// owned dimensions. Every non-empty item is retained, so workers fed the
+// same items keep identical slot tables; under cluster routing every
+// item a worker receives has an owned dimension anyway.
+func (ix *shardInv) index(x stream.Item) {
+	if len(x.Vec.Dims) == 0 {
+		return
 	}
-	if owned {
-		sl := ix.slots.alloc(x.ID, x.Time, x.Side)
-		if int(sl) >= len(ix.vecs) {
-			ix.vecs = append(ix.vecs, make([]vec.Vector, int(sl)+1-len(ix.vecs))...)
-		}
-		ix.vecs[sl] = x.Vec
-		ix.live.PushBack(sl)
-		for i, d := range dims {
-			if !ix.shard.owns(d) {
-				continue
-			}
-			ix.ar.pushTo(ix.lists, d, sl, x.Time, vals[i], 0)
+	sl := ix.slots.alloc(x.ID, x.Time, x.Side)
+	if int(sl) >= len(ix.vecs) {
+		ix.vecs = append(ix.vecs, make([]vec.Vector, int(sl)+1-len(ix.vecs))...)
+	}
+	ix.vecs[sl] = x.Vec
+	ix.live.PushBack(sl)
+	for i, d := range x.Vec.Dims {
+		if ix.shard.owns(d) {
+			ix.ar.pushTo(ix.lists, d, sl, x.Time, x.Vec.Vals[i], 0)
 			ix.c.IndexedEntries++
 		}
 	}
-	return g.Err()
 }
 
 // advanceTo moves the stream clock to t and recycles the slots (and

@@ -12,33 +12,9 @@ import (
 	"sssj/internal/vec"
 )
 
-// shardTargets routes one item the way the cluster coordinator does:
-// L2AP/AP items are broadcast to every worker (the monotone max vector
-// must observe the full stream), INV/L2 items go to the workers owning
-// at least one of their dimensions.
-func shardTargets(kind Kind, n int, it stream.Item) []int {
-	if kind == L2AP || kind == AP {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	seen := make(map[int]bool, n)
-	var out []int
-	for _, d := range it.Vec.Dims {
-		w := int(d % uint32(n))
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // runShardCluster drives items through an n-worker group of shard
-// engines with coordinator-style routing, deduplicating each item's
-// matches by candidate ID across workers. It returns the merged stream
+// engines under the coordinator's routing (Route), deduplicating each
+// item's matches by partner across workers (apss.DedupPartners). It returns the merged stream
 // and the number of duplicate emissions removed — the parity tests
 // assert the dedup path is actually exercised.
 func runShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bool, items []stream.Item) ([]apss.Match, int) {
@@ -62,8 +38,8 @@ func driveShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bo
 	var out []apss.Match
 	dups := 0
 	for _, it := range items {
-		seen := make(map[uint64]bool)
-		for _, w := range shardTargets(kind, n, it) {
+		var all []apss.Match
+		for _, w := range Route(kind, n, it.Vec.Dims, nil) {
 			ms, err := workers[w].Add(it)
 			if err != nil {
 				t.Fatal(err)
@@ -71,15 +47,11 @@ func driveShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bo
 			if onAdd != nil {
 				onAdd(w, workers[w], it, ms)
 			}
-			for _, m := range ms {
-				if seen[m.Y] {
-					dups++
-					continue
-				}
-				seen[m.Y] = true
-				out = append(out, m)
-			}
+			all = append(all, ms...)
 		}
+		merged := apss.DedupPartners(all)
+		dups += len(all) - len(merged)
+		out = append(out, merged...)
 	}
 	return out, dups
 }
@@ -88,7 +60,7 @@ func driveShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bo
 // engines under coordinator routing must emit exactly the sequential
 // engine's matches with bit-identical similarities — including INV,
 // whose worker recomputes the full dot in the sequential accumulation
-// order (unlike the in-process parInv, which merges per-shard sums).
+// order.
 func TestShardClusterParity(t *testing.T) {
 	for _, kind := range []Kind{INV, L2, L2AP, AP} {
 		for _, p := range []apss.Params{
@@ -169,19 +141,15 @@ func TestShardAdvanceBarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 			want = append(want, ms...)
-			seen := make(map[uint64]bool)
-			for _, w := range shardTargets(kind, n, it) {
+			var all []apss.Match
+			for _, w := range Route(kind, n, it.Vec.Dims, nil) {
 				wms, err := workers[w].Add(it)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, m := range wms {
-					if !seen[m.Y] {
-						seen[m.Y] = true
-						got = append(got, m)
-					}
-				}
+				all = append(all, wms...)
 			}
+			got = append(got, apss.DedupPartners(all)...)
 			if k%17 == 16 && k+1 < len(items) {
 				// Stay at or below the next arrival so the barrier's
 				// no-earlier-item promise holds.

@@ -84,20 +84,22 @@ type Options struct {
 	// Mutually exclusive with Order (it subsumes it), Shard, and the
 	// pruning Ablations; the zero value disables it.
 	Adapt Adapt
-	// Workers selects the sharded parallel engine: the dimension space
-	// is partitioned across Workers shards, candidate generation fans
-	// out to them concurrently, and candidate verification runs in
-	// parallel over the merged accumulator. Values ≤ 1 select the
-	// paper's sequential engines, which remain the correctness oracle;
-	// the parallel engines emit the same match set (see parallel.go).
-	// Ablations require the sequential engines.
+	// Workers > 1 runs the cluster deployment in process: Workers shard
+	// engines (Shard{i, Workers}), each fed every item, called one after
+	// another on the caller's goroutine, their matches merged as the
+	// cluster coordinator merges its workers' (see group.go). The output
+	// is the sequential engine's match set with bit-identical
+	// similarities; it is slower than the sequential engine for every
+	// kind. Values ≤ 1 select the paper's sequential engines, which
+	// remain the correctness oracle. Ablations require the sequential
+	// engines.
 	Workers int
 	// Shard configures the index as one worker of an N-way
 	// dimension-sharded cluster group (see the Shard type and shard.go):
 	// posting entries are stored only for owned dimensions, admission
-	// uses the shard-local bounds of parallel.go, and verification is
-	// always exact. Mutually exclusive with Workers > 1, Ablations, and
-	// Order; the zero value disables shard mode.
+	// uses shard-local bounds on the total similarity, and verification
+	// is always exact. Mutually exclusive with Workers > 1, Ablations,
+	// and Order; the zero value disables shard mode.
 	Shard Shard
 	// Foreign switches the index from a self-join to a two-stream
 	// foreign join A ⋈ B: each item carries a stream.Item.Side tag, and
@@ -136,7 +138,7 @@ type Ablations struct {
 	// (kernelv.go). Unlike the pruning ablations above this is an
 	// implementation selector, not an algorithm change: both kernels
 	// produce bit-identical matches and counters, and it is therefore
-	// allowed on the parallel and cluster-worker engines too. It exists
+	// allowed on the shard group and cluster-worker engines too. It exists
 	// as the parity oracle for the kernel tests and as an ablation knob
 	// for the verification-kernel benchmarks.
 	ScalarKernel bool
@@ -290,32 +292,25 @@ func New(kind Kind, params apss.Params, opts Options) (Index, error) {
 }
 
 // newCoreIndex builds a bare engine — no ordering or adaptive wrapper —
-// of the given kind, dispatching on Workers between the sequential and
-// sharded-parallel implementations. It is the shared constructor of New
-// and the adaptive index's rebuild path.
+// of the given kind: the sequential engine, or for workers > 1 the shard
+// group of group.go. It is the shared constructor of New and the
+// adaptive index's rebuild path.
 func newCoreIndex(kind Kind, params apss.Params, kernel apss.Kernel, workers int, foreign bool, abl Ablations, c *metrics.Counters) (SinkIndex, error) {
-	parallel := workers > 1
-	scalar := abl.ScalarKernel
 	switch kind {
-	case INV:
-		if parallel {
-			return newParInv(params, kernel, workers, foreign, scalar, c), nil
-		}
-		return newInvIndex(params, kernel, foreign, scalar, c), nil
-	case L2:
-		if parallel {
-			return newParEngine(params, kernel, false, true, workers, foreign, scalar, c), nil
-		}
-		return newEngine(params, kernel, false, true, abl, foreign, c), nil
+	case INV, L2:
 	case L2AP, AP:
 		if _, ok := kernel.(apss.Exponential); !ok {
 			return nil, fmt.Errorf("%w: STR-%v needs apss.Exponential, got %T", ErrKernel, kind, kernel)
 		}
-		if parallel {
-			return newParEngine(params, kernel, true, kind == L2AP, workers, foreign, scalar, c), nil
-		}
-		return newEngine(params, kernel, true, kind == L2AP, abl, foreign, c), nil
 	default:
 		return nil, fmt.Errorf("streaming: unknown kind %d", int(kind))
+	}
+	switch {
+	case workers > 1:
+		return newGroup(kind, params, kernel, workers, foreign, abl.ScalarKernel, c), nil
+	case kind == INV:
+		return newInvIndex(params, kernel, foreign, abl.ScalarKernel, c), nil
+	default:
+		return newEngine(params, kernel, kind != L2, kind != AP, abl, foreign, c), nil
 	}
 }

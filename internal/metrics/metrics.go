@@ -7,9 +7,8 @@ package metrics
 import "fmt"
 
 // Counters aggregates per-run operation counts. Plain int64 fields
-// suffice: every joiner is driven from one goroutine, and the sharded
-// parallel STR engine accumulates shard-local counts that it merges into
-// the shared Counters only between fan-outs, on the driving goroutine.
+// suffice: every joiner is driven from one goroutine, and does its
+// counting on it.
 //
 // The json tags are part of the versioned perf-report schema
 // (internal/perf); renaming one is a schema change and must bump the

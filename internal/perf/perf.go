@@ -117,7 +117,7 @@ func (s Scenario) named() Scenario {
 
 // DefaultScenarios is the standing benchmark matrix: on a dense-ish
 // (RCV1) and a sparse bursty (Tweets) stream shape, the three STR
-// indexes, the sharded parallel engine at 4 workers, and MB-L2 as the
+// indexes, the 4-shard in-process group, and MB-L2 as the
 // framework baseline — plus a θ sweep on the recommended STR-L2 to
 // track threshold sensitivity, a 4-scenario foreign-join (A ⋈ B)
 // cross-section, a 2-scenario bounded-lateness (reorder stage)

@@ -33,30 +33,6 @@ var kernelDeploys = []kernelDeploy{
 	{name: "s2", shards: 2},
 }
 
-// kernelShardTargets mirrors the coordinator's routing rule for the
-// cluster deploys: L2AP workers each hold a full replica (re-indexing
-// is dimension-global), every other kind routes an item to the owners
-// of its nonzero dimensions.
-func kernelShardTargets(kind streaming.Kind, n int, it Item) []int {
-	if kind == streaming.L2AP {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	seen := make(map[int]bool, n)
-	var out []int
-	for _, d := range it.Vec.Dims {
-		w := int(d % uint32(n))
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // runKernel drives items through one deployment with the chosen kernel
 // implementation and returns the emitted matches and final counters.
 // delta > 0 shuffles the stream within delta and fronts the index with
@@ -82,20 +58,15 @@ func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, kernel apss.Ker
 			workers[i] = ix
 		}
 		add = func(it Item) error {
-			seen := make(map[uint64]bool)
-			for _, w := range kernelShardTargets(kind, d.shards, it) {
+			var all []apss.Match
+			for _, w := range streaming.Route(kind, d.shards, it.Vec.Dims, nil) {
 				ms, err := workers[w].Add(it)
 				if err != nil {
 					return err
 				}
-				for _, m := range ms {
-					if seen[m.Y] {
-						continue
-					}
-					seen[m.Y] = true
-					out = append(out, m)
-				}
+				all = append(all, ms...)
 			}
+			out = append(out, apss.DedupPartners(all)...)
 			return nil
 		}
 	} else {

@@ -263,12 +263,14 @@ type Options struct {
 	// warmup closes). The zero value keeps natural order, as in the
 	// paper.
 	DimOrder DimOrder
-	// Workers selects the sharded parallel Streaming engine: the
-	// dimension space is partitioned across Workers shards, each owning
-	// the posting lists for its dimensions; Process fans candidate
-	// generation out to the shards and verifies the merged candidates
-	// concurrently, producing the same match set as the sequential
-	// engine. Values ≤ 1 (the default) run the paper's sequential
+	// Workers > 1 runs the cluster tier's worker engines in process: the
+	// dimension space is partitioned across Workers shard engines, each
+	// owning the posting lists of its dimensions and fed every item, and
+	// Process calls them one after another, merging their matches into
+	// the sequential engine's match set. It is slower than the
+	// sequential engine for every index kind (see README, "Parallel
+	// execution"); it exists as the in-process image of a cluster
+	// deployment. Values ≤ 1 (the default) run the paper's sequential
 	// engine. Only the Streaming framework supports Workers > 1;
 	// MiniBatch returns ErrUnsupported.
 	Workers int
@@ -623,10 +625,11 @@ func (o Options) validate(mode opMode) error {
 // monotone clock — and the joiner remains usable: the offending item is
 // simply not part of the stream.
 //
-// With Options.Workers > 1 the work *inside* each Process call is
-// executed by a pool of dimension-sharded workers while preserving the
+// With Options.Workers > 1 each Process call drives a group of
+// dimension-sharded engines, one after another, preserving the
 // sequential engine's match semantics; with Workers ≤ 1 (the default)
-// processing is fully sequential, exactly as in the paper.
+// it drives the paper's sequential engine. Either way all work happens
+// on the calling goroutine.
 type Joiner struct {
 	inner  core.SinkJoiner
 	params Params

@@ -10,7 +10,7 @@ import (
 )
 
 // TestWorkersParityOnDatagen: on every synthetic dataset profile, the
-// sharded parallel engine (Workers ≥ 2) must emit the same match set as
+// in-process shard group (Workers ≥ 2) must emit the same match set as
 // the sequential engine for each streaming index scheme.
 func TestWorkersParityOnDatagen(t *testing.T) {
 	indexes := []sssj.IndexKind{sssj.IndexL2, sssj.IndexL2AP, sssj.IndexINV}
@@ -58,6 +58,6 @@ func TestWorkersOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := j.IndexSize(); !ok {
-		t.Fatal("parallel STR joiner should expose IndexSize")
+		t.Fatal("sharded STR joiner should expose IndexSize")
 	}
 }
