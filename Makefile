@@ -14,8 +14,12 @@ verify: vet build race bench-test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite (the benchmark's build
+# directory aside).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -75,13 +79,15 @@ bench-gate:
 # accounting as the oracle), the binary item frames (arbitrary bytes
 # behind the frame marker: a typed reply or a clean close, bounded
 # allocation), and the dataset readers (binary and text files: any input
-# parses or fails with an error, never a panic) — for a short burst each
+# parses or fails with an error, never a panic), and checkpoint restore
+# (arbitrary bytes after SaveFull seeds of every kind: a typed error or
+# an index that accepts items, never a panic) — for a short burst each
 # on top of their committed seed corpora (testdata/fuzz/…): a CI pass
 # that keeps hunting for oracle violations without the cost of a long
 # fuzzing campaign. `go test -fuzz` takes one target per run, hence one
-# command of $(FUZZTIME) each. FuzzShardParity decodes its stream from a
-# byte string, so minimizing each new input under the default 60 s
-# budget would eat the whole burst; it gets 1 s.
+# command of $(FUZZTIME) each. FuzzShardParity and FuzzCheckpointLoad
+# take a byte string, so minimizing each new input under the default
+# 60 s budget would eat the whole burst; they get 1 s.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzForeignSelfParity -fuzztime $(FUZZTIME) .
@@ -95,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzItemFrame -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzBinaryReader -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzTextReader -fuzztime $(FUZZTIME) ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/index/streaming
 
 # cluster-smoke is the process-level cluster parity check: it builds the
 # real binaries, boots 2 sssjd shard workers + 1 sssjc coordinator (plus

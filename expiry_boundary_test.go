@@ -55,7 +55,9 @@ func TestExpiryBoundaryAgainstBruteForce(t *testing.T) {
 				{"seq", streaming.Options{}},
 				{"scalar", streaming.Options{Ablations: streaming.Ablations{ScalarKernel: true}}},
 				{"w2", streaming.Options{Workers: 2}},
-				{"s1", streaming.Options{Shard: streaming.Shard{ID: 0, N: 1}}},
+				// A lone worker fed every item: dimensions 5 and 9 are
+				// both its own, so it must report brute force's pair too.
+				{"s1", streaming.Options{Shard: streaming.Shard{ID: 1, N: 2}}},
 			} {
 				t.Run(fmt.Sprintf("%d/%v/%s", i, kind, shape.name), func(t *testing.T) {
 					ix, err := streaming.New(kind, p, shape.opts)

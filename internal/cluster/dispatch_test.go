@@ -126,9 +126,9 @@ func TestTypedRefusalsThroughCoordinator(t *testing.T) {
 		}
 	})
 
-	// No shard engine can be checkpointed, so no real worker of a cluster
-	// ever answers MOVED today; a stub that speaks the documented frame
-	// layout stands in for one that will.
+	// No shard engine with N > 1 can be checkpointed, so no real worker of
+	// a multi-worker cluster ever answers MOVED today; a stub that speaks
+	// the documented frame layout stands in for one that will.
 	t.Run("moved", func(t *testing.T) {
 		const target = "10.1.2.3:7411"
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

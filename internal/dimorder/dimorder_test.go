@@ -1,9 +1,9 @@
 package dimorder
 
 import (
-	"sync"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 

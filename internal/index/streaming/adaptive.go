@@ -161,7 +161,7 @@ func newAdaptiveIndex(kind Kind, params apss.Params, kernel apss.Kernel, opts Op
 		start = a.kindFor(a.sel.Tier())
 	}
 	scratch := &metrics.Counters{}
-	inner, err := newCoreIndex(start, params, kernel, a.workers, a.foreign, a.abl, scratch)
+	inner, err := newCoreIndex(start, params, kernel, a.workers, Shard{}, a.foreign, a.abl, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func (a *adaptiveIndex) review() error {
 // over. Replay counter deltas are withheld from the caller's Counters.
 func (a *adaptiveIndex) rebuild(kind Kind, dm *dimorder.Map) error {
 	scratch := &metrics.Counters{}
-	inner, err := newCoreIndex(kind, a.p, a.kernel, a.workers, a.foreign, a.abl, scratch)
+	inner, err := newCoreIndex(kind, a.p, a.kernel, a.workers, Shard{}, a.foreign, a.abl, scratch)
 	if err != nil {
 		return err
 	}
@@ -355,7 +355,7 @@ func (a *adaptiveIndex) naturalClone() (SinkIndex, error) {
 	if now, begun, clock, ok := clockOf(a.inner); ok {
 		st.now, st.begun, st.clock = now, begun, clock
 	}
-	clone := newInvIndex(a.p, a.kernel, a.foreign, false, &metrics.Counters{})
+	clone := newInvIndex(a.p, a.kernel, a.foreign, false, Shard{}, &metrics.Counters{})
 	if err := st.seedInto(clone); err != nil {
 		return nil, err
 	}

@@ -41,20 +41,6 @@ func (e *engine) ArenaInfo() BlockInfo {
 	return b
 }
 
-// ArenaInfo implements ArenaSizer.
-func (e *shardEngine) ArenaInfo() BlockInfo {
-	var b BlockInfo
-	b.add(&e.ar)
-	return b
-}
-
-// ArenaInfo implements ArenaSizer.
-func (ix *shardInv) ArenaInfo() BlockInfo {
-	var b BlockInfo
-	b.add(&ix.ar)
-	return b
-}
-
 // ArenaInfo forwards to the inner index when it is arena-backed; during
 // warmup the buffered items are not posting entries yet, so the inner
 // figures are the whole truth.

@@ -71,7 +71,13 @@ const ckptVersion = 5
 // ErrBadCheckpoint reports a corrupt or incompatible checkpoint.
 var ErrBadCheckpoint = errors.New("streaming: bad checkpoint")
 
-// Save writes ix's state. Only indexes created by New are supported.
+// errShardCheckpoint refuses to checkpoint a lone cluster worker, or to
+// restore into one: a worker holds only its owned posting lists, which
+// the format cannot tell from a whole index.
+var errShardCheckpoint = fmt.Errorf("%w: a cluster worker (Shard.N > 1) cannot be checkpointed", ErrShard)
+
+// Save writes ix's state. Only indexes created by New are supported; a
+// cluster worker (Options.Shard with N > 1) is refused with ErrShard.
 // Custom (non-exponential) kernels are recorded as a flag; Load then
 // requires the same kernel to be re-supplied in Options.
 func Save(ix Index, w io.Writer) error { return SaveFull(ix, nil, w) }
@@ -109,6 +115,14 @@ func SaveFull(ix Index, et *EventTimeState, w io.Writer) error {
 			return err
 		}
 		ix = cl
+	case *engine:
+		if v.sharded {
+			return errShardCheckpoint
+		}
+	case *invIndex:
+		if v.sharded {
+			return errShardCheckpoint
+		}
 	}
 	bw := bufio.NewWriter(w)
 	cw := &ckptWriter{w: bw}
@@ -342,11 +356,11 @@ func saveRes(cw *ckptWriter, res *lhmap.Map[uint64, *smeta], slots *slotTab) {
 // any Workers value, regardless of the value it was saved with: the file
 // decodes into the sequential engine, whose exact state a Workers > 1
 // shard group then adopts — and, when the checkpoint used a custom
-// kernel, the kernel itself). The
-// Foreign flag likewise is operator config, chosen at load time: a v4
-// checkpoint restores each item's side bit, and a file written before
-// sides existed (v1–v3) loads into a foreign-join engine with every
-// item on side A.
+// kernel, the kernel itself). The Foreign flag likewise is operator
+// config, chosen at load time: a v4 checkpoint restores each item's side
+// bit, and a file written before sides existed (v1–v3) loads into a
+// foreign-join engine with every item on side A. A cluster worker
+// (Options.Shard with N > 1) is refused with ErrShard.
 func Load(r io.Reader, opts Options) (Index, error) {
 	ix, _, err := LoadFull(r, opts)
 	return ix, err
@@ -354,8 +368,13 @@ func Load(r io.Reader, opts Options) (Index, error) {
 
 // LoadFull restores an index saved by Save or SaveFull, together with
 // the event-time reorder state when the file carries one (nil for
-// files written by plain Save and for every pre-v5 version).
+// files written by plain Save and for every pre-v5 version). Like
+// SaveFull it refuses a cluster worker: Options.Shard with N > 1 returns
+// ErrShard.
 func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
+	if opts.Shard.N > 1 {
+		return nil, nil, errShardCheckpoint
+	}
 	cr := &ckptReader{r: bufio.NewReader(r)}
 	var magic [8]byte
 	cr.bytes(magic[:])
@@ -385,6 +404,9 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 	}
 	if cr.err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, cr.err)
+	}
+	if kind > AP {
+		return nil, nil, fmt.Errorf("%w: unknown kind %d", ErrBadCheckpoint, int(kind))
 	}
 	if !defaultKernel && opts.Kernel == nil {
 		return nil, nil, fmt.Errorf("%w: checkpoint used a custom kernel; supply it in Options", ErrBadCheckpoint)

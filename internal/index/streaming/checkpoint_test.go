@@ -225,3 +225,52 @@ func TestParamsSurviveCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointRefusesShard: a cluster worker holds only its owned
+// posting lists, which the format cannot tell from a whole index, so
+// SaveFull refuses a worker and Load/LoadFull refuse to restore into
+// one, both with ErrShard. A lone Shard{0, 1} is the sequential index
+// and round-trips like it.
+func TestCheckpointRefusesShard(t *testing.T) {
+	p := apss.Params{Theta: 0.5, Lambda: 0.1}
+	items := fuzzItems(3, 60)
+	worker := Shard{ID: 1, N: 2}
+	for _, kind := range []Kind{INV, L2, L2AP, AP} {
+		fill := func(opts Options) Index {
+			t.Helper()
+			ix, err := New(kind, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range items {
+				if _, err := ix.Add(it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return ix
+		}
+		// The event-time section is larger than the write buffer, so a
+		// refusal that came after it would leave a truncated prefix in buf.
+		var buf bytes.Buffer
+		et := &EventTimeState{Delta: 1, Buffered: fuzzItems(4, 400)}
+		if err := SaveFull(fill(Options{Shard: worker}), et, &buf); !errors.Is(err, ErrShard) {
+			t.Fatalf("%v: SaveFull of a worker: want ErrShard, got %v", kind, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%v: refused SaveFull wrote %d bytes", kind, buf.Len())
+		}
+		buf.Reset()
+		if err := Save(fill(Options{Shard: Shard{ID: 0, N: 1}}), &buf); err != nil {
+			t.Fatalf("%v: Save of a lone shard: %v", kind, err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes()), Options{Shard: worker}); !errors.Is(err, ErrShard) {
+			t.Fatalf("%v: Load into a worker: want ErrShard, got %v", kind, err)
+		}
+		if _, _, err := LoadFull(bytes.NewReader(buf.Bytes()), Options{Shard: worker}); !errors.Is(err, ErrShard) {
+			t.Fatalf("%v: LoadFull into a worker: want ErrShard, got %v", kind, err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes()), Options{Shard: Shard{ID: 0, N: 1}}); err != nil {
+			t.Fatalf("%v: Load into a lone shard: %v", kind, err)
+		}
+	}
+}

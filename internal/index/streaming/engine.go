@@ -33,8 +33,8 @@ type smeta struct {
 // §5.3 re-indexing pass. Keeping one implementation matters beyond
 // reuse — the sharded engine's bit-identical-output guarantee depends on
 // both engines computing exactly the same boundaries, pscores, and
-// posting entries. push routes an entry to its posting chain (direct map
-// for the sequential engine, owner shard's arena for the sharded one).
+// posting entries. push routes an entry to its posting chain (pushEntry;
+// pushOwned on a sharded engine, which keeps only owned dimensions).
 type icCore struct {
 	p     apss.Params
 	useAP bool
@@ -237,12 +237,25 @@ func (ic *icCore) reindex(changed []uint32) {
 // accumulator keyed by item slot, and verification walks the reusable
 // candidate list — the per-probe maps of the ring implementation (and
 // their allocations) are gone.
+//
+// With sharded set the engine is one worker of a dimension-sharded group
+// (Options.Shard, shard.go): it posts only the dimensions it owns, keeps
+// per-slot statistics of the rest in ystat, and compares shard-local
+// bounds on the total similarity instead of the sequential ones.
 type engine struct {
 	icCore
 	kernel apss.Kernel
 	lambda float64 // decay rate; meaningful when useAP (exponential kernel)
 	tau    float64
 	abl    Ablations
+
+	// shard is the worker's place in its group; sharded reports
+	// shard.N > 1. A lone shard (N = 1) is the sequential engine.
+	shard   Shard
+	sharded bool
+	// ystat[sl] is the statistics record of the item holding slot sl
+	// (see shardSlot); sharded only.
+	ystat []shardSlot
 
 	ar    parena
 	lists map[uint32]*chain
@@ -266,7 +279,7 @@ type engine struct {
 	begun bool
 }
 
-func newEngine(p apss.Params, kernel apss.Kernel, useAP, useL2 bool, abl Ablations, foreign bool, c *metrics.Counters) *engine {
+func newEngine(p apss.Params, kernel apss.Kernel, useAP, useL2 bool, abl Ablations, foreign bool, shard Shard, c *metrics.Counters) *engine {
 	e := &engine{
 		icCore: icCore{
 			p:            p,
@@ -277,14 +290,19 @@ func newEngine(p apss.Params, kernel apss.Kernel, useAP, useL2 bool, abl Ablatio
 			res:          lhmap.New[uint64, *smeta](),
 			noIndexBound: abl.NoIndexBound,
 		},
-		kernel: kernel,
-		lambda: p.Lambda,
-		tau:    kernel.Horizon(p.Theta),
-		abl:    abl,
-		ar:     parena{withPnorm: true},
-		lists:  make(map[uint32]*chain),
+		kernel:  kernel,
+		lambda:  p.Lambda,
+		tau:     kernel.Horizon(p.Theta),
+		abl:     abl,
+		shard:   shard,
+		sharded: shard.N > 1,
+		ar:      parena{withPnorm: true},
+		lists:   make(map[uint32]*chain),
 	}
 	e.icCore.push = e.pushEntry
+	if e.sharded {
+		e.icCore.push = e.pushOwned
+	}
 	if useAP {
 		e.m = vec.NewMaxTracker()
 		e.mhatVal = make(map[uint32]float64)
@@ -367,10 +385,13 @@ func (e *engine) Advance(t float64) error {
 // produce bit-identical accumulator state and counters. pnx is
 // x.Vec.PrefixNorms().
 func (e *engine) candGen(x stream.Item, pnx []float64) {
-	if e.abl.ScalarKernel {
-		e.candGenScalar(x)
-	} else {
+	switch {
+	case !e.abl.ScalarKernel:
 		e.candGenVec(x, pnx)
+	case e.sharded:
+		e.candGenShardScalar(x)
+	default:
+		e.candGenScalar(x)
 	}
 }
 
@@ -378,16 +399,36 @@ func (e *engine) candGen(x stream.Item, pnx []float64) {
 // ps1/ds1/sz2 bounds, then compute the exact residual dot product and
 // emit true matches into the gate as they are verified — no result slice
 // on the hot path. The residual is addressed by slot, and the decay is
-// the one candidate generation cached, if it needed it.
+// the one candidate generation cached, if it needed it. A sharded engine
+// applies bound 3 of shard.go instead and recomputes the indexed partial
+// dot in the sequential engine's summation order, so the reported
+// similarity is bit-identical across workers and to the single-process
+// engine.
 func (e *engine) candVer(x stream.Item, g *apss.Gate) {
 	a := &e.acc
 	if len(a.Cands) == 0 {
 		return
 	}
-	theta := e.p.Theta
+	theta, cut := e.p.Theta, e.p.Theta-boundSlack
 	vmx := x.Vec.MaxVal()
 	sx := x.Vec.Sum()
 	nx := x.Vec.NNZ()
+	// x on the dimensions this worker does not own, against which B̂
+	// bounds y's non-owned indexed coordinates (sharded only).
+	var xnrm, xsum, xmax float64
+	xcnt := 0
+	if e.sharded {
+		for i, d := range x.Vec.Dims {
+			if !e.shard.owns(d) {
+				v := x.Vec.Vals[i]
+				xnrm += v * v
+				xsum += v
+				xmax = max(xmax, v)
+				xcnt++
+			}
+		}
+		xnrm = math.Sqrt(xnrm)
+	}
 	for _, sl := range a.Cands {
 		if a.Dead[sl] == a.Epoch {
 			continue
@@ -406,8 +447,18 @@ func (e *engine) candVer(x stream.Item, g *apss.Gate) {
 		if decay < 0 {
 			decay = e.kernel.Factor(dt)
 		}
-		// ps1 (line 3), ds1 (line 4), sz2 (line 5), all decayed.
-		if !e.abl.NoVerifyBounds {
+		switch {
+		case e.sharded:
+			st := &e.ystat[sl]
+			bhat := min(xnrm*math.Sqrt(st.sq), xmax*st.sum, st.max*xsum, float64(min(xcnt, st.cnt))*xmax*st.max)
+			phat := min(meta.q, vmx*meta.rsum, meta.rmax*sx, float64(min(nx, meta.boundary))*vmx*meta.rmax)
+			if (dot+bhat+phat)*decay < cut {
+				continue
+			}
+			// The owned partial dot only selected y.
+			dot = suffixDotDesc(x.Vec, meta.vec, meta.boundary)
+		case !e.abl.NoVerifyBounds:
+			// ps1 (line 3), ds1 (line 4), sz2 (line 5), all decayed.
 			if (dot+meta.q)*decay < theta {
 				continue
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the in-process shard group behind Options.Workers > 1:
-// N cluster-worker engines (shard.go) built with Shard{i, N}, called one
+// N sharded engines (shard.go) built with Shard{i, N}, called one
 // after another on the caller's goroutine. It is a cluster deployment
 // without the wire, with two differences:
 //
@@ -29,7 +29,7 @@ import (
 // engine: every shard repeats the indexing walk and expiry of every item,
 // and its shard-local bounds are looser than the sequential ones.
 
-// member is what the group needs of a shard engine.
+// member is what the group needs of a sharded engine.
 type member interface {
 	SinkIndex
 	Advancer
@@ -37,12 +37,12 @@ type member interface {
 	ArenaSizer
 }
 
-// group drives N shard engines of one kind as a single index.
+// group drives N sharded engines of one kind as a single index.
 type group struct {
 	p       apss.Params
-	engines []*shardEngine // L2, L2AP, AP
-	invs    []*shardInv    // INV
-	shards  []member       // whichever of the two is set
+	engines []*engine   // L2, L2AP, AP
+	invs    []*invIndex // INV
+	shards  []member    // whichever of the two is set
 
 	// c is the caller's counters. The shards count into work, and
 	// forward moves their work counters over after every operation.
@@ -59,11 +59,11 @@ func newGroup(kind Kind, p apss.Params, kernel apss.Kernel, n int, foreign, scal
 	for i := 0; i < n; i++ {
 		sh := Shard{ID: i, N: n}
 		if kind == INV {
-			s := newShardInv(p, kernel, sh, foreign, scalar, &g.work)
+			s := newInvIndex(p, kernel, foreign, scalar, sh, &g.work)
 			g.invs = append(g.invs, s)
 			g.shards = append(g.shards, s)
 		} else {
-			s := newShardEngine(p, kernel, kind != L2, kind != AP, sh, foreign, scalar, &g.work)
+			s := newEngine(p, kernel, kind != L2, kind != AP, Ablations{ScalarKernel: scalar}, foreign, sh, &g.work)
 			g.engines = append(g.engines, s)
 			g.shards = append(g.shards, s)
 		}
@@ -178,13 +178,14 @@ func (g *group) adopt(ix Index) error {
 	return nil
 }
 
-// adopt copies e's state: the slot table, a private copy of every
-// residual (re-indexing moves boundaries per shard), m, m̂λ, lastTouch
-// and the clock. Every posting entry goes through pushEntry, so the
-// owner stores it and every shard rebuilds its per-slot statistics.
-// Dimensions go in ascending order, which is the order the indexing walk
-// pushed each item's coordinates in.
-func (s *shardEngine) adopt(e *engine) {
+// adopt copies the sequential engine e's state into the sharded engine
+// s: the slot table, a private copy of every residual (re-indexing moves
+// boundaries per shard), m, m̂λ, lastTouch and the clock. Every posting
+// entry goes through the push hook, so the owner stores it and every
+// shard rebuilds its per-slot statistics. Dimensions go in ascending
+// order, which is the order the indexing walk pushed each item's
+// coordinates in.
+func (s *engine) adopt(e *engine) {
 	s.slots = e.slots.clone()
 	e.res.Ascend(func(id uint64, m *smeta) bool {
 		c := *m
@@ -196,15 +197,16 @@ func (s *shardEngine) adopt(e *engine) {
 	s.now, s.begun, s.clock = e.now, e.begun, e.clock
 	for _, d := range slices.Sorted(maps.Keys(e.lists)) {
 		e.ar.ascend(e.lists[d], func(ai int) {
-			s.pushEntry(d, e.ar.slot[ai], e.ar.t[ai], e.ar.val[ai], e.ar.pnorm[ai])
+			s.push(d, e.ar.slot[ai], e.ar.t[ai], e.ar.val[ai], e.ar.pnorm[ai])
 		})
 	}
 }
 
-// adopt copies v's state: the slot table, the live queue, the clock, the
-// entries of owned dimensions, and every slot's full vector (vecs, which
-// chainVectors rebuilt from v's chains).
-func (ix *shardInv) adopt(v *invIndex, vecs map[uint32]vec.Vector) {
+// adopt copies the sequential index v's state into the sharded index ix:
+// the slot table, the live queue, the clock, the entries of owned
+// dimensions, and every slot's full vector (vecs, which chainVectors
+// rebuilt from v's chains).
+func (ix *invIndex) adopt(v *invIndex, vecs map[uint32]vec.Vector) {
 	ix.slots = v.slots.clone()
 	ix.now, ix.begun, ix.clock = v.now, v.begun, v.clock
 	v.live.Ascend(func(_ int, sl uint32) bool {

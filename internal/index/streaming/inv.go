@@ -6,6 +6,7 @@ import (
 	"sssj/internal/cbuf"
 	"sssj/internal/metrics"
 	"sssj/internal/stream"
+	"sssj/internal/vec"
 )
 
 // invIndex is STR-INV (§5.1): everything is indexed, posting lists stay
@@ -16,6 +17,11 @@ import (
 // Postings live in a block arena (see arena.go) chained per dimension;
 // candidates accumulate in a dense epoch-stamped accumulator keyed by
 // the compact item slot, so the per-probe hot path allocates nothing.
+//
+// With sharded set the index is one worker of a dimension-sharded group
+// (Options.Shard, shard.go): it posts only owned dimensions, so its
+// accumulated dot is partial, and it keeps every live item's full vector
+// to verify candidates exactly.
 type invIndex struct {
 	p      apss.Params
 	kernel apss.Kernel
@@ -27,10 +33,17 @@ type invIndex struct {
 	// (kernel_scalar.go) instead of the vectorized block kernel.
 	scalar bool
 	c      *metrics.Counters
+	// shard is the worker's place in its group; sharded reports
+	// shard.N > 1. A lone shard (N = 1) is the sequential index.
+	shard   Shard
+	sharded bool
 
 	ar    parena
 	lists map[uint32]*chain
 	slots slotTab
+	// vecs maps a live slot to the item's full vector, for the exact
+	// verification of a sharded index; cleared when the slot is recycled.
+	vecs []vec.Vector
 	// live holds the slots of in-horizon items in arrival order; the
 	// front expires first, recycling the slot.
 	live cbuf.Ring[uint32]
@@ -45,7 +58,7 @@ type invIndex struct {
 	prLanes [blockCap]float64
 }
 
-func newInvIndex(p apss.Params, kernel apss.Kernel, foreign, scalar bool, c *metrics.Counters) *invIndex {
+func newInvIndex(p apss.Params, kernel apss.Kernel, foreign, scalar bool, shard Shard, c *metrics.Counters) *invIndex {
 	return &invIndex{
 		p:       p,
 		kernel:  kernel,
@@ -53,6 +66,8 @@ func newInvIndex(p apss.Params, kernel apss.Kernel, foreign, scalar bool, c *met
 		foreign: foreign,
 		scalar:  scalar,
 		c:       c,
+		shard:   shard,
+		sharded: shard.N > 1,
 		lists:   make(map[uint32]*chain),
 	}
 }
@@ -83,22 +98,48 @@ func (ix *invIndex) AddTo(x stream.Item, emit apss.Sink) error {
 	g := apss.NewGate(emit)
 	for _, sl := range a.Cands {
 		dt := x.Time - ix.slots.t[sl]
-		sim := a.Dot[sl] * ix.kernel.Factor(dt)
-		if sim >= ix.p.Theta {
-			g.Emit(apss.Match{X: x.ID, Y: ix.slots.id[sl], Sim: sim, Dot: a.Dot[sl], DT: dt})
+		dot := a.Dot[sl]
+		if ix.sharded {
+			// The owned partial dot only selected the candidate. vec.Dot's
+			// ascending merge reproduces the sequential accumulation order
+			// bit for bit.
+			ix.c.FullDots++
+			if dot = vec.Dot(x.Vec, ix.vecs[sl]); dot < ix.p.Theta {
+				continue // Factor ≤ 1: no decay lifts it to θ
+			}
+		}
+		if sim := dot * ix.kernel.Factor(dt); sim >= ix.p.Theta {
+			g.Emit(apss.Match{X: x.ID, Y: ix.slots.id[sl], Sim: sim, Dot: dot, DT: dt})
 		}
 	}
 	ix.c.Pairs += g.Emitted()
+	ix.index(x)
+	return g.Err()
+}
 
-	if len(x.Vec.Dims) > 0 {
-		sl := ix.slots.alloc(x.ID, x.Time, x.Side)
-		ix.live.PushBack(sl)
-		for i, d := range x.Vec.Dims {
+// index retains x: its slot, its posting entries (at owned dimensions
+// when sharded) and, when sharded, its full vector. Every non-empty item
+// is retained, so workers fed the same items keep identical slot tables;
+// under cluster routing every item a worker receives has an owned
+// dimension anyway.
+func (ix *invIndex) index(x stream.Item) {
+	if len(x.Vec.Dims) == 0 {
+		return
+	}
+	sl := ix.slots.alloc(x.ID, x.Time, x.Side)
+	ix.live.PushBack(sl)
+	if ix.sharded {
+		if int(sl) >= len(ix.vecs) {
+			ix.vecs = append(ix.vecs, make([]vec.Vector, int(sl)+1-len(ix.vecs))...)
+		}
+		ix.vecs[sl] = x.Vec
+	}
+	for i, d := range x.Vec.Dims {
+		if !ix.sharded || ix.shard.owns(d) {
 			ix.ar.pushTo(ix.lists, d, sl, x.Time, x.Vec.Vals[i], 0)
 			ix.c.IndexedEntries++
 		}
 	}
-	return g.Err()
 }
 
 // advanceTo moves the stream clock to t (≥ ix.now once begun) and runs
@@ -115,6 +156,9 @@ func (ix *invIndex) advanceTo(t float64) {
 			break
 		}
 		ix.live.PopFront()
+		if ix.sharded {
+			ix.vecs[sl] = vec.Vector{}
+		}
 		ix.slots.release(sl)
 	}
 	ix.maybeSweep()
@@ -140,7 +184,8 @@ func (ix *invIndex) maybeSweep() {
 	ix.c.ExpiredEntries += sweepChains(&ix.ar, ix.lists, false, ix.now, ix.tau)
 }
 
-// Size implements Index.
+// Size implements Index. A sharded index reports its retained full
+// vectors as Residuals.
 func (ix *invIndex) Size() SizeInfo {
 	var s SizeInfo
 	for _, ch := range ix.lists {
@@ -148,6 +193,9 @@ func (ix *invIndex) Size() SizeInfo {
 			s.Lists++
 			s.PostingEntries += int(ch.n)
 		}
+	}
+	if ix.sharded {
+		s.Residuals = ix.live.Len()
 	}
 	return s
 }

@@ -153,10 +153,10 @@ func (ix *invIndex) scanScalar(x stream.Item) {
 	}
 }
 
-// candGenScalar is the frozen scalar body of shardEngine.candGen: the
-// worker's share of Algorithm 7 under the shard-local admission bound
-// and early kill (bounds 1 and 2 of shard.go).
-func (e *shardEngine) candGenScalar(x stream.Item) {
+// candGenShardScalar is the frozen scalar body of a sharded
+// engine.candGen: the worker's share of Algorithm 7 under the shard-local
+// admission bound and early kill (bounds 1 and 2 of shard.go).
+func (e *engine) candGenShardScalar(x stream.Item) {
 	a := &e.acc
 	a.Begin(e.slots.span())
 	dims, vals := x.Vec.Dims, x.Vec.Vals
@@ -243,41 +243,6 @@ func (e *shardEngine) candGenScalar(x stream.Item) {
 		}
 		if e.useAP {
 			rs1 -= xj * e.mhatAt(d)
-		}
-	}
-}
-
-// scanScalar is the frozen scalar body of the shardInv (cluster-worker
-// STR-INV) candidate scan over owned dimensions.
-func (ix *shardInv) scanScalar(x stream.Item) {
-	a := &ix.acc
-	dims, vals := x.Vec.Dims, x.Vec.Vals
-	for i, d := range dims {
-		if !ix.shard.owns(d) {
-			continue
-		}
-		xj := vals[i]
-		ch := ix.lists[d]
-		if ch == nil {
-			continue
-		}
-		removed := ix.ar.descendCut(ch, x.Time, ix.tau, func(ai int) {
-			ix.c.EntriesTraversed++
-			sl := ix.ar.slot[ai]
-			if ix.foreign && !apss.CrossSide(ix.slots.side[sl], x.Side) {
-				return
-			}
-			if a.Mark[sl] != a.Epoch {
-				a.Admit(sl)
-				ix.c.Candidates++
-			}
-			a.Dot[sl] += xj * ix.ar.val[ai]
-		})
-		if removed > 0 {
-			ix.c.ExpiredEntries += int64(removed)
-			if ch.n == 0 {
-				delete(ix.lists, d)
-			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package streaming
 import (
 	"math"
 
-	"sssj/internal/accum"
 	"sssj/internal/apss"
 	"sssj/internal/stream"
 )
@@ -81,7 +80,7 @@ func admitWindow(k apss.Kernel, rs1, scale, theta, guard float64, n int32) apss.
 }
 
 // ---------------------------------------------------------------------------
-// Sequential prefix-filtering engine (STR-L2 / STR-L2AP / STR-AP).
+// Prefix-filtering engine (STR-L2 / STR-L2AP / STR-AP).
 
 // coord is the state of one query coordinate's chain scan.
 type coord struct {
@@ -93,13 +92,23 @@ type coord struct {
 	w    apss.Window // that bound in time form
 	// kill enables the early ℓ2 prune (Algorithm 7, lines 10–12).
 	kill bool
+	// c is ‖x on non-owned dimensions above this coordinate‖, read by a
+	// sharded engine's kill; there rs2 holds the shard-local geo of
+	// bound 1 (see shard.go).
+	c float64
 }
 
 // candGenVec is the block-kernel body of engine.candGen: Algorithm 7's
 // reverse coordinate scan with block-granular chain walks. The outer
 // loop — rs1/rs2 maintenance, chain lookup, emptied-chain release — is
-// identical to candGenScalar; only the per-chain scan differs. pnx is
-// x.Vec.PrefixNorms().
+// identical to candGenScalar (candGenShardScalar for a sharded engine);
+// only the per-chain scan differs. pnx is x.Vec.PrefixNorms().
+//
+// A sharded engine scans only its owned coordinates, under the
+// shard-local bounds 1 and 2 of shard.go: rs1 keeps only the owned terms
+// decremented, the ℓ2 term is geo = √(‖x_{≤i}‖² + ‖x_{>i} on other
+// shards‖²) against θ−boundSlack, which is the sequential monotone form,
+// so the same admission window gives the same whole-block tiers.
 func (e *engine) candGenVec(x stream.Item, pnx []float64) {
 	a := &e.acc
 	a.BeginDecay(e.slots.span())
@@ -116,48 +125,70 @@ func (e *engine) candGenVec(x stream.Item, pnx []float64) {
 	}
 	rst := 0.0
 	rs2 := math.Inf(1)
-	if e.useL2 {
+	if e.useL2 && !e.sharded {
 		for _, v := range vals {
 			rst += v * v
 		}
 		rs2 = math.Sqrt(rst)
 	}
+	theta := e.p.Theta
+	if e.sharded {
+		theta -= boundSlack
+	}
+	crossSq := 0.0 // sharded: Σ x² over the non-owned positions past the current one
 
 	ar := &e.ar
 	q := coord{now: x.Time, side: x.Side, kill: e.useL2 && !e.abl.NoL2Bound}
 	for i := len(dims) - 1; i >= 0; i-- {
 		d, xj := dims[i], vals[i]
-		ch := e.lists[d]
-		if ch == nil {
+		if e.sharded && !e.shard.owns(d) {
+			crossSq += xj * xj
 			continue
 		}
-		q.xj, q.pnx, q.rs2 = xj, pnx[i], rs2
-		q.w = apss.AdmitAll
-		if !e.abl.NoRemscore {
-			q.w = admitWindow(e.kernel, rs1, rs2, e.p.Theta, e.tau*windowGuard, ch.n)
-		}
-		var removed int
-		if e.useAP {
-			// Re-indexing may have broken time order, so scan forward
-			// through the whole chain, compacting expired entries (§6.2).
-			removed = ar.vcompact(ch, q.now, e.tau, func(b int32, base, lo, hi int, live uint16) {
-				e.vBlock(&q, base, lo, hi, live, false, q.now-ar.tmax[b], math.Inf(1))
-			})
-		} else {
-			// Time-ordered chain: scan backwards from the newest block and
-			// truncate at the first expired entry (§6.2).
-			removed = ar.vdescend(ch, q.now, e.tau, func(base, lo, hi int) {
-				e.vBlock(&q, base, lo, hi, 0, true, q.now-ar.t[base+hi-1], q.now-ar.t[base+lo])
-			})
-		}
-		e.c.ExpiredEntries += int64(removed)
-		if ch.n == 0 {
-			delete(e.lists, d)
+		if ch := e.lists[d]; ch != nil {
+			q.xj, q.pnx, q.rs2 = xj, pnx[i], rs2
+			if e.sharded && e.useL2 {
+				q.rs2, q.c = admitGeo(pnx[i+1], crossSq), math.Sqrt(crossSq)
+			}
+			q.w = apss.AdmitAll
+			if !e.abl.NoRemscore {
+				q.w = admitWindow(e.kernel, rs1, q.rs2, theta, e.tau*windowGuard, ch.n)
+			}
+			// With AP, re-indexing may have broken time order, so scan
+			// forward through the whole chain, compacting expired entries;
+			// otherwise scan a time-ordered chain backwards from the newest
+			// block and truncate at the first expired entry (§6.2).
+			var removed int
+			switch {
+			case e.useAP && e.sharded:
+				removed = ar.vcompact(ch, q.now, e.tau, func(b int32, base, lo, hi int, live uint16) {
+					e.vBlockShard(&q, base, lo, hi, live, false, q.now-ar.tmax[b], math.Inf(1))
+				})
+			case e.useAP:
+				removed = ar.vcompact(ch, q.now, e.tau, func(b int32, base, lo, hi int, live uint16) {
+					e.vBlock(&q, base, lo, hi, live, false, q.now-ar.tmax[b], math.Inf(1))
+				})
+			case e.sharded:
+				removed = ar.vdescend(ch, q.now, e.tau, func(base, lo, hi int) {
+					e.vBlockShard(&q, base, lo, hi, 0, true, q.now-ar.t[base+hi-1], q.now-ar.t[base+lo])
+				})
+			default:
+				removed = ar.vdescend(ch, q.now, e.tau, func(base, lo, hi int) {
+					e.vBlock(&q, base, lo, hi, 0, true, q.now-ar.t[base+hi-1], q.now-ar.t[base+lo])
+				})
+			}
+			e.c.ExpiredEntries += int64(removed)
+			if ch.n == 0 {
+				delete(e.lists, d)
+			}
+		} else if !e.sharded {
+			// The sequential bounds keep a coordinate without a chain.
+			continue
 		}
 		if e.useAP {
 			rs1 -= xj * e.mhatAt(d)
 		}
-		if e.useL2 {
+		if e.useL2 && !e.sharded {
 			rst -= xj * xj
 			if rst < 0 {
 				rst = 0
@@ -262,65 +293,37 @@ func (e *engine) vBlock(q *coord, base, lo, hi int, live uint16, ordered bool, d
 }
 
 // ---------------------------------------------------------------------------
-// STR-INV family: no pruning, so the only block work is the batched
-// product scatter. One helper serves the sequential index and the
-// cluster worker.
+// STR-INV: no pruning, so the only block work is the batched product
+// scatter. A sharded index has chains for owned dimensions only, so the
+// same scan serves it.
 
-// vScanInv is the vectorized STR-INV chain scan: the time-ordered
-// backward walk of descendCut at block granularity, with the coordinate
-// products batched per block. Returns the number of entries the expiry
-// cut removed.
-func vScanInv(ar *parena, ch *chain, a *accum.Dense, slots *slotTab, pr *[blockCap]float64,
-	x stream.Item, xj, tau float64, foreign bool, traversed, candidates *int64) int {
-	return ar.vdescend(ch, x.Time, tau, func(base, lo, hi int) {
-		*traversed += int64(hi - lo)
-		lanes := pr[:hi-lo]
-		apss.ScaleLanes(xj, ar.val[base+lo:base+hi], lanes)
-		for j := hi - 1; j >= lo; j-- {
-			sl := ar.slot[base+j]
-			if foreign && !apss.CrossSide(slots.side[sl], x.Side) {
-				continue
-			}
-			if a.Mark[sl] != a.Epoch {
-				a.Admit(sl)
-				*candidates++
-			}
-			a.Dot[sl] += lanes[j-lo]
-		}
-	})
-}
-
-// scanVec is the vectorized body of the sequential STR-INV scan.
+// scanVec is the vectorized body of the STR-INV scan: per touched
+// dimension, the time-ordered backward walk of descendCut at block
+// granularity, with the coordinate products batched per block.
 func (ix *invIndex) scanVec(x stream.Item) {
+	a, ar := &ix.acc, &ix.ar
 	for i, d := range x.Vec.Dims {
 		ch := ix.lists[d]
 		if ch == nil {
 			continue
 		}
-		removed := vScanInv(&ix.ar, ch, &ix.acc, &ix.slots, &ix.prLanes,
-			x, x.Vec.Vals[i], ix.tau, ix.foreign, &ix.c.EntriesTraversed, &ix.c.Candidates)
-		if removed > 0 {
-			ix.c.ExpiredEntries += int64(removed)
-			if ch.n == 0 {
-				delete(ix.lists, d)
+		xj := x.Vec.Vals[i]
+		removed := ar.vdescend(ch, x.Time, ix.tau, func(base, lo, hi int) {
+			ix.c.EntriesTraversed += int64(hi - lo)
+			lanes := ix.prLanes[:hi-lo]
+			apss.ScaleLanes(xj, ar.val[base+lo:base+hi], lanes)
+			for j := hi - 1; j >= lo; j-- {
+				sl := ar.slot[base+j]
+				if ix.foreign && !apss.CrossSide(ix.slots.side[sl], x.Side) {
+					continue
+				}
+				if a.Mark[sl] != a.Epoch {
+					a.Admit(sl)
+					ix.c.Candidates++
+				}
+				a.Dot[sl] += lanes[j-lo]
 			}
-		}
-	}
-}
-
-// scanVec is the vectorized body of the cluster-worker STR-INV scan
-// over owned dimensions.
-func (ix *shardInv) scanVec(x stream.Item) {
-	for i, d := range x.Vec.Dims {
-		if !ix.shard.owns(d) {
-			continue
-		}
-		ch := ix.lists[d]
-		if ch == nil {
-			continue
-		}
-		removed := vScanInv(&ix.ar, ch, &ix.acc, &ix.slots, &ix.prLanes,
-			x, x.Vec.Vals[i], ix.tau, ix.foreign, &ix.c.EntriesTraversed, &ix.c.Candidates)
+		})
 		if removed > 0 {
 			ix.c.ExpiredEntries += int64(removed)
 			if ch.n == 0 {
@@ -331,67 +334,22 @@ func (ix *shardInv) scanVec(x stream.Item) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-worker prefix-filtering scan (shardEngine). The shard-local
-// admission bound is min(rs1, decay·geo) with geo = √(‖x_{≤i}‖² +
-// ‖x_{>i} on other shards‖²) hoisted per dimension (see shard.go). That
-// is the sequential engine's monotone form with geo for rs2 and
-// θ−boundSlack for θ, so the same admission window gives the same
-// whole-block decline and admit tiers. The early kill caches each
-// candidate's decay exactly as engine.vBlock does.
+// Sharded prefix-filtering engine (Options.Shard, shard.go).
 
-// vShardScan carries the per-item plumbing of one worker's scan.
-type vShardScan struct {
-	ar         *parena
-	a          *accum.Dense
-	slots      *slotTab
-	kernel     apss.Kernel
-	useAP      bool
-	cut, tau   float64 // cut is θ−boundSlack
-	foreign    bool
-	now        float64 // the query's time and side
-	side       apss.Side
-	traversed  *int64
-	candidates *int64
-
-	// kill enables the early ℓ2 kill (bound 2 in shard.go), which needs
-	// the decay cache (accum.Dense.BeginDecay) and ystat. c and pnx are
-	// the current coordinate's ‖x on other shards above it‖ and ‖x
-	// before it‖.
-	kill   bool
-	ystat  []shardSlot
-	c, pnx float64
-}
-
-// scan walks dimension chain ch for query coordinate value xj under the
-// shard-local bound min(rs1, decay·geo); geo is +Inf without the ℓ2
-// bound. Returns removed entries.
-func (v *vShardScan) scan(ch *chain, xj, rs1, geo float64) int {
-	ar := v.ar
-	w := admitWindow(v.kernel, rs1, geo, v.cut, v.tau*windowGuard, ch.n)
-	if v.useAP {
-		// Possibly disordered chain: the block-granular compaction walk,
-		// bracketed by tmax only (see engine.vBlock).
-		return ar.vcompact(ch, v.now, v.tau, func(b int32, base, lo, hi int, live uint16) {
-			v.block(base, lo, hi, live, false, v.now-ar.tmax[b], math.Inf(1), w, xj, geo)
-		})
-	}
-	return ar.vdescend(ch, v.now, v.tau, func(base, lo, hi int) {
-		v.block(base, lo, hi, 0, true, v.now-ar.t[base+hi-1], v.now-ar.t[base+lo], w, xj, geo)
-	})
-}
-
-// block processes lanes [lo, hi) in the scalar kernel's order for the
-// chain discipline; the parameters are engine.vBlock's. The scalar
+// vBlockShard is vBlock for a sharded engine: lanes [lo, hi) under the
+// shard-local admission bound min(rs1, decay·geo) (geo in q.rs2) and the
+// kill of bound 2 of shard.go, both against θ−boundSlack. The scalar
 // kernel Declines same-side and below-bound lanes alike, so a
 // whole-block Decline reproduces its accumulator exactly; marked lanes
-// always accumulate. The kill follows engine.vBlock: a candidate's
-// first kill test runs against the decay of the block's newest lane,
-// which dominates its own, and only a survivor evaluates (and caches)
-// its own factor.
-func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, dtMin, dtMax float64, w apss.Window, xj, geo float64) {
-	a, ar := v.a, v.ar
-	*v.traversed += int64(hi - lo)
-	rejectAll, admitAll := dtMin >= w.Hi, dtMax <= w.Lo
+// always accumulate. The kill follows vBlock: a candidate's first kill
+// test runs against the decay of the block's newest lane, which
+// dominates its own, and only a survivor evaluates (and caches) its own
+// factor.
+func (e *engine) vBlockShard(q *coord, base, lo, hi int, live uint16, ordered bool, dtMin, dtMax float64) {
+	a, ar := &e.acc, &e.ar
+	cut := e.p.Theta - boundSlack
+	e.c.EntriesTraversed += int64(hi - lo)
+	rejectAll, admitAll := dtMin >= q.w.Hi, dtMax <= q.w.Lo
 	dub := -1.0 // Factor(dtMin), which dominates every live lane's decay
 
 	j, stop, step := lo, hi, 1
@@ -408,104 +366,52 @@ func (v *vShardScan) block(base, lo, hi int, live uint16, ordered bool, dtMin, d
 			continue
 		}
 		if a.Mark[sl] != a.Epoch {
-			if rejectAll || v.foreign && !apss.CrossSide(v.slots.side[sl], v.side) {
+			if rejectAll || e.foreign && !apss.CrossSide(e.slots.side[sl], q.side) {
 				a.Decline(sl)
 				continue
 			}
 			d := -1.0
 			if !admitAll {
-				dt := v.now - ar.t[ai]
-				if dt >= w.Hi {
+				dt := q.now - ar.t[ai]
+				if dt >= q.w.Hi {
 					a.Decline(sl)
 					continue
 				}
-				if dt > w.Lo {
-					if d = v.kernel.Factor(dt); d*geo < v.cut {
+				if dt > q.w.Lo {
+					if d = e.kernel.Factor(dt); d*q.rs2 < cut {
 						a.Decline(sl)
 						continue
 					}
 				}
 			}
 			a.Admit(sl)
-			if v.kill {
-				a.Decay[sl] = d
-			}
-			*v.candidates++
+			a.Decay[sl] = d
+			e.c.Candidates++
 		}
-		dot := a.Dot[sl] + xj*ar.val[ai]
+		dot := a.Dot[sl] + q.xj*ar.val[ai]
 		a.Dot[sl] = dot
-		if !v.kill {
+		if !q.kill {
 			continue
 		}
-		b := killBound(dot, v.c, v.pnx, ar.pnorm[ai], ar.val[ai], v.ystat[sl].nrm2)
+		b := killBound(dot, q.c, q.pnx, ar.pnorm[ai], ar.val[ai], e.ystat[sl].nrm2)
 		d := a.Decay[sl]
 		if d < 0 {
 			if dub < 0 {
-				dub = v.kernel.Factor(dtMin)
+				dub = e.kernel.Factor(dtMin)
 			}
-			if b >= 0 && b*dub < v.cut {
+			if b >= 0 && b*dub < cut {
 				a.Dead[sl] = a.Epoch
 				continue
 			}
-			if dt := v.now - ar.t[ai]; dt == dtMin {
+			if dt := q.now - ar.t[ai]; dt == dtMin {
 				d = dub
 			} else {
-				d = v.kernel.Factor(dt)
+				d = e.kernel.Factor(dt)
 			}
 			a.Decay[sl] = d
 		}
-		if b*d < v.cut {
+		if b*d < cut {
 			a.Dead[sl] = a.Epoch
-		}
-	}
-}
-
-// candGenVec is the block-kernel body of shardEngine.candGen: the
-// cluster worker's share of Algorithm 7 over owned dimensions, under
-// bounds 1 and 2 of shard.go. pnx is x.Vec.PrefixNorms().
-func (e *shardEngine) candGenVec(x stream.Item, pnx []float64) {
-	a := &e.acc
-	a.BeginDecay(e.slots.span())
-	dims, vals := x.Vec.Dims, x.Vec.Vals
-	if len(dims) == 0 {
-		return
-	}
-	rs1 := math.Inf(1) // minus the owned terms past the current position
-	if e.useAP {
-		rs1 = 0
-		for i, d := range dims {
-			rs1 += vals[i] * e.mhatAt(d)
-		}
-	}
-	crossSq := 0.0 // Σ x² over the non-owned positions past the current one
-
-	v := vShardScan{
-		ar: &e.ar, a: a, slots: &e.slots,
-		kernel: e.kernel, useAP: e.useAP,
-		cut: e.p.Theta - boundSlack, tau: e.tau, foreign: e.foreign,
-		now: x.Time, side: x.Side,
-		traversed: &e.c.EntriesTraversed, candidates: &e.c.Candidates,
-		kill: e.useL2, ystat: e.ystat,
-	}
-	for i := len(dims) - 1; i >= 0; i-- {
-		d, xj := dims[i], vals[i]
-		if !e.shard.owns(d) {
-			crossSq += xj * xj
-			continue
-		}
-		if ch := e.lists[d]; ch != nil {
-			geo := math.Inf(1)
-			if e.useL2 {
-				geo = admitGeo(pnx[i+1], crossSq)
-				v.c, v.pnx = math.Sqrt(crossSq), pnx[i]
-			}
-			e.c.ExpiredEntries += int64(v.scan(ch, xj, rs1, geo))
-			if ch.n == 0 {
-				delete(e.lists, d)
-			}
-		}
-		if e.useAP {
-			rs1 -= xj * e.mhatAt(d)
 		}
 	}
 }

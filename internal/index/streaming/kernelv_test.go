@@ -158,7 +158,7 @@ func TestOutOfContractParity(t *testing.T) {
 				}
 				items[i].Vec = v
 			}
-			for _, opts := range []Options{{}, {Shard: Shard{ID: 0, N: 1}}} {
+			for _, opts := range []Options{{}, {Shard: Shard{ID: 1, N: 2}}} {
 				runKernelPair(t, L2, p, opts, items, tc.after)
 			}
 		})
@@ -201,7 +201,10 @@ func liveBlocks(ar *parena, lists map[uint32]*chain, x stream.Item, tau float64)
 // visits (the newest-lane bracket of the first-touch kill), plus two
 // per scanned coordinate — the probes that verify its admission window,
 // or the rejected entries of a chain too short to build one for — never
-// once per posting entry, which is what the scalar kernel pays.
+// once per posting entry, which is what the scalar kernel pays. The
+// sequential engine must also save at least 3× the scalar kernel's calls
+// overall; a lone shard's looser shard-local bounds admit more
+// candidates, so it is held to the per-probe budget only.
 func TestTimeTiersEffective(t *testing.T) {
 	items := datagen.RCV1Profile().Scaled(0.25).Generate(3)
 	p := apss.Params{Theta: 0.7, Lambda: 0.001}
@@ -210,7 +213,7 @@ func TestTimeTiersEffective(t *testing.T) {
 		opts Options
 	}{
 		{"engine", Options{}},
-		{"shard", Options{Shard: Shard{ID: 0, N: 1}}},
+		{"shard", Options{Shard: Shard{ID: 1, N: 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var calls, scalarCalls int64
@@ -229,17 +232,9 @@ func TestTimeTiersEffective(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ar *parena
-			var lists map[uint32]*chain
-			var tau float64
-			switch e := ix.(type) {
-			case *engine:
-				ar, lists, tau = &e.ar, e.lists, e.tau
-			case *shardEngine:
-				ar, lists, tau = &e.ar, e.lists, e.tau
-			}
+			e := ix.(*engine)
 			for _, it := range items {
-				blocks, chains := liveBlocks(ar, lists, it, tau)
+				blocks, chains := liveBlocks(&e.ar, e.lists, it, e.tau)
 				calls0, cands0 := calls, c.Candidates
 				if _, err := ix.Add(it); err != nil {
 					t.Fatal(err)
@@ -258,7 +253,7 @@ func TestTimeTiersEffective(t *testing.T) {
 			}
 			// The scalar kernel evaluates one factor per live entry it meets
 			// and one more per candidate it verifies.
-			if 3*calls > scalarCalls {
+			if !e.sharded && 3*calls > scalarCalls {
 				t.Fatalf("%d Factor calls against the scalar kernel's %d: the tiers are not skipping entries",
 					calls, scalarCalls)
 			}
@@ -268,8 +263,8 @@ func TestTimeTiersEffective(t *testing.T) {
 
 // TestScalarKernelParity pins the vectorized kernels to the frozen
 // scalar kernels from inside the package, driving every scalar entry
-// point (sequential engine, inverted index, parallel shards, cluster
-// shard) directly. The root-level grid proves deployment-shaped
+// point (sequential engine, inverted index, parallel shards, a lone
+// sharded worker) directly. The root-level grid proves deployment-shaped
 // parity end to end; this one keeps the frozen oracle itself under
 // in-package test.
 func TestScalarKernelParity(t *testing.T) {
@@ -289,7 +284,7 @@ func TestScalarKernelParity(t *testing.T) {
 	}{
 		{"seq", Options{}},
 		{"w3", Options{Workers: 3}},
-		{"s1", Options{Shard: Shard{ID: 0, N: 1}}},
+		{"s1", Options{Shard: Shard{ID: 1, N: 2}}},
 	}
 	for _, kind := range []Kind{INV, L2, L2AP, AP} {
 		for _, d := range deploys {

@@ -174,7 +174,7 @@ func (o *orderedIndex) checkpointClone() (SinkIndex, error) {
 	for i := range st.items {
 		st.items[i].Vec = inv.Remap(st.items[i].Vec)
 	}
-	clone := newInvIndex(st.p, st.kernel, false, false, &metrics.Counters{})
+	clone := newInvIndex(st.p, st.kernel, false, false, Shard{}, &metrics.Counters{})
 	if err := st.seedInto(clone); err != nil {
 		return nil, err
 	}

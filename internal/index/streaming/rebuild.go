@@ -43,7 +43,7 @@ type inserter interface {
 	insert(x stream.Item) error
 }
 
-// insert implements inserter for the sequential prefix engines.
+// insert implements inserter for the prefix engines.
 func (e *engine) insert(x stream.Item) error {
 	if e.begun && x.Time < e.now {
 		return ErrTimeOrder
@@ -61,45 +61,8 @@ func (e *engine) insert(x stream.Item) error {
 	return nil
 }
 
-// insert implements inserter for the cluster-worker prefix engine: the
-// same index-construction half, with the push hook keeping owned entries
-// and the per-slot statistics.
-func (e *shardEngine) insert(x stream.Item) error {
-	if e.begun && x.Time < e.now {
-		return ErrTimeOrder
-	}
-	e.advanceTo(x.Time)
-	if e.useAP {
-		if changed := e.m.Update(x.Vec); len(changed) > 0 {
-			e.reindex(changed)
-		}
-	}
-	e.indexVector(x, x.Vec.PrefixNorms())
-	if e.useAP {
-		e.mhatUpdate(x)
-	}
-	return nil
-}
-
-// insert implements inserter for sequential INV.
+// insert implements inserter for INV.
 func (ix *invIndex) insert(x stream.Item) error {
-	if ix.begun && x.Time < ix.now {
-		return ErrTimeOrder
-	}
-	ix.advanceTo(x.Time)
-	if len(x.Vec.Dims) > 0 {
-		sl := ix.slots.alloc(x.ID, x.Time, x.Side)
-		ix.live.PushBack(sl)
-		for i, d := range x.Vec.Dims {
-			ix.ar.pushTo(ix.lists, d, sl, x.Time, x.Vec.Vals[i], 0)
-			ix.c.IndexedEntries++
-		}
-	}
-	return nil
-}
-
-// insert implements inserter for cluster-worker INV.
-func (ix *shardInv) insert(x stream.Item) error {
 	if ix.begun && x.Time < ix.now {
 		return ErrTimeOrder
 	}
@@ -232,10 +195,6 @@ func clockOf(ix Index) (now float64, begun bool, clock sweepClock, ok bool) {
 		return v.now, v.begun, v.clock, true
 	case *invIndex:
 		return v.now, v.begun, v.clock, true
-	case *shardEngine:
-		return v.now, v.begun, v.clock, true
-	case *shardInv:
-		return v.now, v.begun, v.clock, true
 	case *group:
 		return clockOf(v.shards[0])
 	}
@@ -248,10 +207,6 @@ func setClock(ix Index, now float64, begun bool, clock sweepClock) {
 	case *engine:
 		v.now, v.begun, v.clock = now, begun, clock
 	case *invIndex:
-		v.now, v.begun, v.clock = now, begun, clock
-	case *shardEngine:
-		v.now, v.begun, v.clock = now, begun, clock
-	case *shardInv:
 		v.now, v.begun, v.clock = now, begun, clock
 	case *group:
 		for _, s := range v.shards {

@@ -8,6 +8,7 @@ import (
 
 	"sssj/internal/apss"
 	"sssj/internal/dimorder"
+	"sssj/internal/metrics"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
@@ -56,6 +57,14 @@ func driveShardCluster(t *testing.T, kind Kind, p apss.Params, n int, foreign bo
 	return out, dups
 }
 
+// runCounted is runKind that also returns the index's counters.
+func runCounted(t *testing.T, kind Kind, p apss.Params, opts Options, items []stream.Item) ([]apss.Match, metrics.Counters) {
+	t.Helper()
+	var c metrics.Counters
+	opts.Counters = &c
+	return runKind(t, kind, p, opts, items), c
+}
+
 // TestShardClusterParity: for every kind, an n-worker group of shard
 // engines under coordinator routing must emit exactly the sequential
 // engine's matches with bit-identical similarities — including INV,
@@ -76,6 +85,15 @@ func TestShardClusterParity(t *testing.T) {
 						got, dups := runShardCluster(t, kind, p, n, false, items)
 						if !equalMatchesExact(got, want) {
 							t.Fatalf("shard cluster diverged: %d vs %d matches", len(got), len(want))
+						}
+						if n == 1 {
+							// A lone shard is the sequential engine, counter
+							// for counter.
+							lone, lc := runCounted(t, kind, p, Options{Shard: Shard{ID: 0, N: 1}}, items)
+							seq, sc := runCounted(t, kind, p, Options{}, items)
+							if !equalMatchesExact(lone, seq) || lc != sc {
+								t.Fatalf("Shard{0, 1} ≠ Options{}: %d vs %d matches\nlone %+v\nseq  %+v", len(lone), len(seq), lc, sc)
+							}
 						}
 						// With several workers and a narrow vocabulary,
 						// duplicate discovery must occur — otherwise the
@@ -370,7 +388,7 @@ func FuzzShardParity(f *testing.F) {
 		}
 
 		got, _ := driveShardCluster(t, kind, p, n, foreign, items, func(w int, ix Index, it stream.Item, ms []apss.Match) {
-			e := ix.(*shardEngine)
+			e := ix.(*engine)
 			var met []apss.Match
 			for _, m := range wantBy[it.ID] {
 				if meetsOwned(e, it, m.Y) {
@@ -390,7 +408,7 @@ func FuzzShardParity(f *testing.F) {
 
 // meetsOwned reports whether worker e's scan of x reaches candidate y:
 // y has an indexed coordinate at a dimension e owns and x has.
-func meetsOwned(e *shardEngine, x stream.Item, y uint64) bool {
+func meetsOwned(e *engine, x stream.Item, y uint64) bool {
 	meta, ok := e.res.Get(y)
 	if !ok {
 		return false

@@ -84,22 +84,25 @@ type Options struct {
 	// Mutually exclusive with Order (it subsumes it), Shard, and the
 	// pruning Ablations; the zero value disables it.
 	Adapt Adapt
-	// Workers > 1 runs the cluster deployment in process: Workers shard
-	// engines (Shard{i, Workers}), each fed every item, called one after
-	// another on the caller's goroutine, their matches merged as the
-	// cluster coordinator merges its workers' (see group.go). The output
-	// is the sequential engine's match set with bit-identical
+	// Workers > 1 runs the cluster deployment in process: Workers
+	// sharded engines (Shard{i, Workers}), each fed every item, called
+	// one after another on the caller's goroutine, their matches merged
+	// as the cluster coordinator merges its workers' (see group.go). The
+	// output is the sequential engine's match set with bit-identical
 	// similarities; it is slower than the sequential engine for every
 	// kind. Values ≤ 1 select the paper's sequential engines, which
 	// remain the correctness oracle. Ablations require the sequential
 	// engines.
 	Workers int
 	// Shard configures the index as one worker of an N-way
-	// dimension-sharded cluster group (see the Shard type and shard.go):
-	// posting entries are stored only for owned dimensions, admission
-	// uses shard-local bounds on the total similarity, and verification
-	// is always exact. Mutually exclusive with Workers > 1, Ablations,
-	// and Order; the zero value disables shard mode.
+	// dimension-sharded cluster group (see the Shard type and shard.go).
+	// It is an ownership predicate on the one engine of each scheme: with
+	// N > 1 posting entries are stored only for owned dimensions,
+	// admission uses shard-local bounds on the total similarity, and
+	// verification is always exact; the zero value and N = 1 own every
+	// dimension and build the sequential engine. Mutually exclusive with
+	// Workers > 1, Ablations, Order and Adapt. A worker with N > 1
+	// cannot be checkpointed (Save and Load return ErrShard).
 	Shard Shard
 	// Foreign switches the index from a self-join to a two-stream
 	// foreign join A ⋈ B: each item carries a stream.Item.Side tag, and
@@ -245,7 +248,7 @@ func New(kind Kind, params apss.Params, opts Options) (Index, error) {
 		kernel = apss.Exponential{Lambda: params.Lambda}
 	}
 	if opts.Shard != (Shard{}) {
-		if !opts.Shard.enabled() || opts.Shard.ID < 0 || opts.Shard.ID >= opts.Shard.N {
+		if opts.Shard.ID < 0 || opts.Shard.ID >= opts.Shard.N {
 			return nil, fmt.Errorf("%w: Shard.ID must be in [0, Shard.N), got %d/%d", ErrShard, opts.Shard.ID, opts.Shard.N)
 		}
 		if opts.Workers > 1 {
@@ -260,20 +263,6 @@ func New(kind Kind, params apss.Params, opts Options) (Index, error) {
 		if opts.Adapt.enabled() {
 			return nil, fmt.Errorf("%w: the self-tuning layer is not supported on a cluster worker (coordinator routing is keyed by natural dimensions)", ErrShard)
 		}
-		scalar := opts.Ablations.ScalarKernel
-		switch kind {
-		case INV:
-			return newShardInv(params, kernel, opts.Shard, opts.Foreign, scalar, c), nil
-		case L2:
-			return newShardEngine(params, kernel, false, true, opts.Shard, opts.Foreign, scalar, c), nil
-		case L2AP, AP:
-			if _, ok := kernel.(apss.Exponential); !ok {
-				return nil, fmt.Errorf("%w: STR-%v needs apss.Exponential, got %T", ErrKernel, kind, kernel)
-			}
-			return newShardEngine(params, kernel, true, kind == L2AP, opts.Shard, opts.Foreign, scalar, c), nil
-		default:
-			return nil, fmt.Errorf("streaming: unknown kind %d", int(kind))
-		}
 	}
 	if opts.Adapt.enabled() {
 		if opts.Order != (WarmupOrder{}) {
@@ -284,7 +273,7 @@ func New(kind Kind, params apss.Params, opts Options) (Index, error) {
 		}
 		return newAdaptiveIndex(kind, params, kernel, opts, c)
 	}
-	ix, err := newCoreIndex(kind, params, kernel, opts.Workers, opts.Foreign, opts.Ablations, c)
+	ix, err := newCoreIndex(kind, params, kernel, opts.Workers, opts.Shard, opts.Foreign, opts.Ablations, c)
 	if err != nil {
 		return nil, err
 	}
@@ -292,10 +281,11 @@ func New(kind Kind, params apss.Params, opts Options) (Index, error) {
 }
 
 // newCoreIndex builds a bare engine — no ordering or adaptive wrapper —
-// of the given kind: the sequential engine, or for workers > 1 the shard
-// group of group.go. It is the shared constructor of New and the
-// adaptive index's rebuild path.
-func newCoreIndex(kind Kind, params apss.Params, kernel apss.Kernel, workers int, foreign bool, abl Ablations, c *metrics.Counters) (SinkIndex, error) {
+// of the given kind: the engine owning shard's dimensions (every
+// dimension for the zero Shard), or for workers > 1 the shard group of
+// group.go. It is the shared constructor of New and the adaptive index's
+// rebuild path.
+func newCoreIndex(kind Kind, params apss.Params, kernel apss.Kernel, workers int, shard Shard, foreign bool, abl Ablations, c *metrics.Counters) (SinkIndex, error) {
 	switch kind {
 	case INV, L2:
 	case L2AP, AP:
@@ -309,8 +299,8 @@ func newCoreIndex(kind Kind, params apss.Params, kernel apss.Kernel, workers int
 	case workers > 1:
 		return newGroup(kind, params, kernel, workers, foreign, abl.ScalarKernel, c), nil
 	case kind == INV:
-		return newInvIndex(params, kernel, foreign, abl.ScalarKernel, c), nil
+		return newInvIndex(params, kernel, foreign, abl.ScalarKernel, shard, c), nil
 	default:
-		return newEngine(params, kernel, kind != L2, kind != AP, abl, foreign, c), nil
+		return newEngine(params, kernel, kind != L2, kind != AP, abl, foreign, shard, c), nil
 	}
 }

@@ -88,18 +88,30 @@ func feedADD(t *testing.T, c *Client, items []stream.Item, foreign bool, side *a
 // and exactly the counters of the same stream served by one
 // uninterrupted session. Under δ > 0 the stream is a within-δ shuffle,
 // so the cut lands while items are still buffered in the reorder stage
-// — migration must carry them across, not drop them.
+// — migration must carry them across, not drop them. A lone shard=0/1
+// session (the sequential engine under a cluster-worker key) migrates
+// like any other; it keeps strict ordering, so it runs at δ = 0 only.
 func TestMigrationParityGrid(t *testing.T) {
 	const delta = 3.0
 	for _, index := range []string{"INV", "L2", "L2AP"} {
 		for _, foreign := range []bool{false, true} {
 			items := migStream(13, 140, foreign)
-			for _, lateness := range []float64{0, delta} {
+			for _, cell := range []struct {
+				lateness float64
+				shard    bool
+			}{{0, false}, {delta, false}, {0, true}} {
+				lateness := cell.lateness
 				name := fmt.Sprintf("%s/foreign=%v/delta=%g", index, foreign, lateness)
+				if cell.shard {
+					name += "/shard=0of1"
+				}
 				t.Run(name, func(t *testing.T) {
 					opts := []string{"theta=0.6", "lambda=0.1", "index=" + index}
 					if foreign {
 						opts = append(opts, "join=foreign")
+					}
+					if cell.shard {
+						opts = append(opts, "shard=0/1")
 					}
 					if lateness > 0 {
 						opts = append(opts, "lateness="+strconv.FormatFloat(lateness, 'g', -1, 64))

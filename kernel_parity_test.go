@@ -22,14 +22,15 @@ import (
 // kernelDeploy names one deployment shape of the streaming index.
 type kernelDeploy struct {
 	name    string
-	workers int // Workers passed to streaming.New (shards == 0)
-	shards  int // cluster-worker group size (0 = in-process)
+	workers int  // Workers passed to streaming.New (shards == 0)
+	shards  int  // cluster-worker group size (0 = in-process)
+	lone    bool // run only the group's last worker, fed every item
 }
 
 var kernelDeploys = []kernelDeploy{
 	{name: "w1", workers: 0},
 	{name: "w4", workers: 4},
-	{name: "s1", shards: 1},
+	{name: "s1", shards: 2, lone: true},
 	{name: "s2", shards: 2},
 }
 
@@ -47,7 +48,11 @@ func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, kernel apss.Ker
 	var add func(it Item) error
 	if d.shards > 0 {
 		workers := make([]streaming.Index, d.shards)
+		lone := []int{d.shards - 1}
 		for i := range workers {
+			if d.lone && i != lone[0] {
+				continue
+			}
 			ix, err := streaming.New(kind, p, streaming.Options{
 				Shard: streaming.Shard{ID: i, N: d.shards}, Foreign: foreign,
 				Kernel: kernel, Ablations: ab, Counters: &c,
@@ -59,7 +64,11 @@ func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, kernel apss.Ker
 		}
 		add = func(it Item) error {
 			var all []apss.Match
-			for _, w := range streaming.Route(kind, d.shards, it.Vec.Dims, nil) {
+			targets := lone
+			if !d.lone {
+				targets = streaming.Route(kind, d.shards, it.Vec.Dims, nil)
+			}
+			for _, w := range targets {
 				ms, err := workers[w].Add(it)
 				if err != nil {
 					return err
