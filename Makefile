@@ -6,7 +6,7 @@ GO ?= go
 # letting coverage rot unnoticed.
 COVER_FLOOR ?= 85
 
-.PHONY: verify build test race vet docvet bench-test bench bench-smoke bench-workers bench-json bench-gate fuzz-smoke cluster-smoke server-smoke adapt-smoke cover clean
+.PHONY: verify build test race vet docvet bench-test bench bench-smoke bench-json bench-gate fuzz-smoke cluster-smoke server-smoke adapt-smoke cover clean
 
 # verify is the tier-1 gate: everything CI runs, from a clean checkout.
 verify: vet build race bench-test
@@ -42,12 +42,6 @@ bench:
 # examples/ without paying for real measurements.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-# bench-workers compares the sequential engine against the in-process
-# shard group (Options.Workers). The group uses no goroutines, so there
-# is no GOMAXPROCS sweep.
-bench-workers:
-	$(GO) test -bench 'BenchmarkWorkers' -run '^$$'
 
 # bench-json runs the standing perf scenario matrix at smoke scale,
 # emits the machine-readable BENCH artifact, and validates that it

@@ -32,8 +32,9 @@ func adaptiveVariantOf(static Options) Options {
 }
 
 // TestAdaptParityGrid is the tentpole oracle: {INV, L2, L2AP, auto} ×
-// {self, foreign} × workers {1, 4} × δ {0, 3}, each point comparing the
-// adaptive run's pair set against the static run's.
+// {self, foreign} × δ {0, 3}, each point comparing the adaptive run's
+// pair set against the static run's — on the sequential engine (w1) and
+// on a 4-worker cluster (w4; see clusterJoiner).
 func TestAdaptParityGrid(t *testing.T) {
 	base := datagen.RCV1Profile().Scaled(0.05).Generate(17)
 	for _, kind := range adaptGridKinds {
@@ -50,14 +51,11 @@ func TestAdaptParityGrid(t *testing.T) {
 					}
 					name := fmt.Sprintf("%v-%v-w%d-d%v", kind, join, workers, delta)
 					t.Run(name, func(t *testing.T) {
-						static := Options{Theta: 0.5, Lambda: 0.05, Index: kind, Join: join, Workers: workers, Lateness: delta}
+						static := Options{Theta: 0.5, Lambda: 0.05, Index: kind, Join: join, Lateness: delta}
 						if kind == IndexAuto {
 							static.Index = IndexINV
 						}
-						want, err := SelfJoin(static, feed)
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := joinOn(t, static, workers, feed)
 						if len(want) == 0 {
 							t.Fatal("no matches; parity vacuous")
 						}
@@ -251,14 +249,11 @@ func FuzzAdaptParity(f *testing.F) {
 		if delta > 0 {
 			feed = stream.ShuffleWithin(items, delta, int64(seed))
 		}
-		static := Options{Theta: theta, Lambda: 0.05, Index: kind, Join: join, Workers: workers, Lateness: delta}
+		static := Options{Theta: theta, Lambda: 0.05, Index: kind, Join: join, Lateness: delta}
 		if kind == IndexAuto {
 			static.Index = IndexINV
 		}
-		want, err := SelfJoin(static, feed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := joinOn(t, static, workers, feed)
 		adaptive := static
 		adaptive.Index = kind
 		adaptive.Adaptive = Adaptive{Rerank: OrderDocFreqAsc, Cadence: 16}

@@ -22,7 +22,7 @@ type BatchPairSink = func(BatchPair) error
 // batch join has no time axis and no framework choice, so only Index,
 // Stats, and DimOrder.Strategy are meaningful; the shared decision
 // table (see Options) rejects combinations that cannot apply (a decay
-// Kernel, Workers > 1, K). Theta is an explicit BatchJoin argument and
+// Kernel, K). Theta is an explicit BatchJoin argument and
 // the Theta/Lambda fields are ignored.
 type BatchOptions = Options
 

@@ -6,7 +6,6 @@
 package sssj_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -290,75 +289,5 @@ func BenchmarkProcessSink(b *testing.B) {
 	}
 	if b.N > 8 && total == 0 {
 		b.Fatal("match-heavy workload produced no matches")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Shard-group benchmarks: what Options.Workers costs against the
-// sequential engine. Run with
-//
-//	go test -bench 'BenchmarkWorkers' -run '^$'
-//
-// The group drives its shard engines one after another on the calling
-// goroutine, so GOMAXPROCS does not change these figures; every shard
-// repeats each item's indexing walk, and w2/w4 are slower than seq.
-
-// BenchmarkWorkersPerItem measures per-item cost of each streaming
-// index with the sequential engine (seq) and the shard group (w2, w4).
-func BenchmarkWorkersPerItem(b *testing.B) {
-	items := benchStreamItems(b, datagen.RCV1Profile())
-	p := apss.Params{Theta: 0.7, Lambda: 0.01}
-	for _, k := range streaming.Kinds() {
-		for _, workers := range []int{0, 2, 4} {
-			name := fmt.Sprintf("%v/seq", k)
-			if workers > 1 {
-				name = fmt.Sprintf("%v/w%d", k, workers)
-			}
-			b.Run(name, func(b *testing.B) {
-				idx, err := streaming.New(k, p, streaming.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					it := items[i%len(items)]
-					it.ID = uint64(i)
-					it.Time = items[len(items)-1].Time + float64(i)*0.25
-					if _, err := idx.Add(it); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkWorkersEndToEnd measures the full STR-L2 join per profile,
-// sequential vs the 4-shard group, reporting items/sec.
-func BenchmarkWorkersEndToEnd(b *testing.B) {
-	p := apss.Params{Theta: 0.7, Lambda: 0.01}
-	for _, prof := range datagen.Profiles() {
-		items := prof.Scaled(0.1).Generate(3)
-		for _, workers := range []int{0, 4} {
-			name := prof.Name + "/seq"
-			if workers > 1 {
-				name = fmt.Sprintf("%s/w%d", prof.Name, workers)
-			}
-			b.Run(name, func(b *testing.B) {
-				var totalItems int64
-				var totalElapsed time.Duration
-				for i := 0; i < b.N; i++ {
-					res := harness.RunOneWorkers(items, prof.Name, harness.FrameworkSTR, "L2", p, 0, workers)
-					if !res.Completed {
-						b.Fatal("run did not complete")
-					}
-					totalItems += res.Stats.Items
-					totalElapsed += res.Elapsed
-				}
-				if totalElapsed > 0 {
-					b.ReportMetric(float64(totalItems)/totalElapsed.Seconds(), "items/s")
-				}
-			})
-		}
 	}
 }

@@ -54,13 +54,11 @@ func (j *Joiner) Checkpoint(w io.Writer) error {
 
 // Resume restores a joiner from a Checkpoint. The join parameters (θ, λ)
 // and index kind come from the checkpoint itself; opts supplies only
-// runtime state: Stats, Workers (a checkpoint written under any worker
-// count restores under any other, including back to the sequential
-// engine), Kernel when the checkpointed joiner used a custom decay
-// kernel, and Join — a checkpoint restores under either join mode, with
-// each item's Side bit carried by the v4 format (older files restore
-// with every item on SideA, so a pre-side checkpoint resumed as a
-// foreign join treats its whole history as stream A). Options that
+// runtime state: Stats, Kernel when the checkpointed joiner used a
+// custom decay kernel, and Join — a checkpoint restores under either
+// join mode, with each item's Side bit carried by the v4 format (older
+// files restore with every item on SideA, so a pre-side checkpoint
+// resumed as a foreign join treats its whole history as stream A). Options that
 // cannot apply to a restored index (a DimOrder strategy, the MiniBatch
 // framework, K) are rejected with ErrUnsupported via the shared
 // decision table.
@@ -78,7 +76,6 @@ func Resume(r io.Reader, opts Options) (*Joiner, error) {
 	sopts := streaming.Options{
 		Counters: opts.Stats,
 		Kernel:   opts.Kernel,
-		Workers:  opts.Workers,
 		Foreign:  opts.Join == JoinForeign,
 	}
 	if opts.Adaptive.enabled() || opts.Index == IndexAuto {
@@ -99,7 +96,6 @@ func Resume(r io.Reader, opts Options) (*Joiner, error) {
 		Framework: Streaming,
 		Kernel:    opts.Kernel,
 		Stats:     opts.Stats,
-		Workers:   opts.Workers,
 		Join:      opts.Join,
 		Lateness:  opts.Lateness,
 		Index:     opts.Index,

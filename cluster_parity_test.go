@@ -1,6 +1,7 @@
 package sssj
 
 import (
+	"context"
 	"testing"
 
 	"sssj/internal/apss"
@@ -8,6 +9,66 @@ import (
 	"sssj/internal/core"
 	"sssj/internal/index/streaming"
 )
+
+// clusterJoiner is New(opts) with its engine replaced by an in-process
+// n-worker cluster (cluster.StartLocal: loopback shard-engine servers
+// behind a coordinator) — the deployed sharded shape behind the Joiner's
+// own reorder, emission and flush path. opts must select the Streaming
+// framework, the decay window and the default kernel; Stats stays
+// untouched, since the workers count on their side of the wire.
+func clusterJoiner(t testing.TB, opts Options, n int) *Joiner {
+	t.Helper()
+	if err := opts.validate(opStream); err != nil {
+		t.Fatal(err)
+	}
+	params, err := paramsFor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := streaming.L2
+	switch opts.Index {
+	case IndexINV:
+		kind = streaming.INV
+	case IndexL2AP:
+		kind = streaming.L2AP
+	}
+	cl, err := cluster.StartLocal(kind, params, cluster.LocalOptions{Workers: n, Foreign: opts.Join == JoinForeign})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return &Joiner{inner: cl, params: params, opts: opts, reo: newReorderFor(opts)}
+}
+
+// clusterJoin is SelfJoin on clusterJoiner. A self-join ignores side
+// tags, but a self-join worker refuses side B, so they are cleared.
+func clusterJoin(t testing.TB, opts Options, n int, items []Item) []Match {
+	t.Helper()
+	if opts.Join != JoinForeign {
+		items = append([]Item(nil), items...)
+		for i := range items {
+			items[i].Side = SideA
+		}
+	}
+	var out []Match
+	if err := clusterJoiner(t, opts, n).runTo(context.Background(), SliceSource(items), CollectInto(&out)); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// joinOn is SelfJoin for workers ≤ 1 and clusterJoin otherwise.
+func joinOn(t testing.TB, opts Options, workers int, items []Item) []Match {
+	t.Helper()
+	if workers > 1 {
+		return clusterJoin(t, opts, workers, items)
+	}
+	ms, err := SelfJoin(opts, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
 
 // FuzzClusterParity fuzzes the cluster-tier oracle: for a derived
 // stream and a fuzz-chosen index × join mode × worker count, an

@@ -13,10 +13,9 @@
 //	sssjbench -checkjson BENCH_PR3.json                 # validate an artifact
 //
 // Experiments: table1, table2, fig2..fig9, delay (the §4 reporting-delay
-// claim), ablation (per-bound pruning attribution), workers (parallel
-// scaling), perf (the BENCH JSON scenario matrix), or all. See DESIGN.md
-// for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured outcomes.
+// claim), ablation (per-bound pruning attribution), perf (the BENCH
+// JSON scenario matrix), or all. See DESIGN.md for the experiment index
+// and EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 package main
 
 import (
@@ -44,12 +43,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sssjbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp    = fs.String("exp", "all", "experiment: table1 table2 fig2..fig9 delay ablation workers perf all")
+		exp    = fs.String("exp", "all", "experiment: table1 table2 fig2..fig9 delay ablation perf all")
 		scale  = fs.Float64("scale", 0.25, "dataset size multiplier")
 		seed   = fs.Int64("seed", 1, "dataset generation seed")
 		budget = fs.Duration("budget", 10*time.Second, "per-run time budget (the paper's 3h timeout analog)")
 		csv    = fs.String("csv", "", "also dump raw grid results as CSV to this path (fig3..fig9)")
-		work   = fs.Int("workers", 0, "max worker shards for the 'workers' scaling experiment: sweeps seq, 2, 4, ... up to N (0 = auto sweep sized to the machine)")
 
 		profile = fs.String("profile", "",
 			"restrict the perf matrix to one dataset profile (matrix covers "+
@@ -172,21 +170,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			harness.PrintAblation(w, "RCV1", p, res)
 		},
-		"workers": func(w io.Writer, c harness.Config) {
-			var counts []int
-			if *work >= 1 {
-				counts = []int{0}
-				for n := 2; n < *work; n *= 2 {
-					counts = append(counts, n)
-				}
-				if *work > 1 {
-					counts = append(counts, *work)
-				}
-			}
-			harness.PrintWorkers(w, harness.RunWorkers(c, counts))
-		},
 	}
-	order := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "delay", "ablation", "workers"}
+	order := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "delay", "ablation"}
 
 	if *exp == "all" {
 		for _, name := range order {

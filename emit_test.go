@@ -11,37 +11,72 @@ import (
 	"sssj/internal/datagen"
 )
 
-// parityOptions enumerates the grid of the sink-vs-slice parity tests:
-// STR × {INV, L2AP, L2} × Workers ∈ {1, 4}, plus MB × {INV, L2AP, L2}
-// (MiniBatch has no shard group).
-func parityOptions(theta, lambda float64) []Options {
-	var out []Options
+// deployCell is one cell of a parity grid: the options, and the width
+// of the cluster the cell runs on (> 1; see clusterJoiner) or 1 for the
+// sequential Streaming engine, 0 for MiniBatch.
+type deployCell struct {
+	opts    Options
+	workers int
+}
+
+func (c deployCell) name() string {
+	return fmt.Sprintf("%v-%v-w%d", c.opts.Framework, c.opts.Index, c.workers)
+}
+
+// parityCells enumerates the grid of the sink-vs-slice parity tests:
+// STR × {INV, L2AP, L2} × {sequential, 4-worker cluster}, plus
+// MB × {INV, L2AP, L2}.
+func parityCells(theta, lambda float64) []deployCell {
+	var out []deployCell
 	for _, ix := range []IndexKind{IndexINV, IndexL2AP, IndexL2} {
 		for _, w := range []int{1, 4} {
-			out = append(out, Options{Theta: theta, Lambda: lambda, Framework: Streaming, Index: ix, Workers: w})
+			out = append(out, deployCell{Options{Theta: theta, Lambda: lambda, Framework: Streaming, Index: ix}, w})
 		}
 	}
 	for _, ix := range []IndexKind{IndexINV, IndexL2AP, IndexL2} {
-		out = append(out, Options{Theta: theta, Lambda: lambda, Framework: MiniBatch, Index: ix})
+		out = append(out, deployCell{Options{Theta: theta, Lambda: lambda, Framework: MiniBatch, Index: ix}, 0})
 	}
 	return out
-}
-
-func optsName(o Options) string {
-	return fmt.Sprintf("%v-%v-w%d", o.Framework, o.Index, o.Workers)
 }
 
 // TestSinkSliceIteratorParity drives the same stream through the slice
 // API (SelfJoin), the sink API (SelfJoinCtx), and the iterator
 // (Matches), and requires identical match sets from all three, across
-// the full framework × index × workers grid.
+// the framework × index grid. The cluster cells compare the cluster
+// joiner's slice path (Process, Flush) and sink path (ProcessTo,
+// FlushTo) against the sequential SelfJoin instead: the iterator and
+// the one-shot helpers always build a sequential engine.
 func TestSinkSliceIteratorParity(t *testing.T) {
 	items := datagen.RCV1Profile().Scaled(0.04).Generate(11)
-	for _, opts := range parityOptions(0.6, 0.05) {
-		t.Run(optsName(opts), func(t *testing.T) {
+	for _, cell := range parityCells(0.6, 0.05) {
+		opts := cell.opts
+		t.Run(cell.name(), func(t *testing.T) {
 			want, err := SelfJoin(opts, items)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cell.workers > 1 {
+				var viaSlice []Match
+				j := clusterJoiner(t, opts, cell.workers)
+				for _, it := range items {
+					ms, err := j.Process(it)
+					if err != nil {
+						t.Fatal(err)
+					}
+					viaSlice = append(viaSlice, ms...)
+				}
+				rest, err := j.Flush()
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaSlice = append(viaSlice, rest...)
+				if !apss.EqualMatchSets(viaSlice, want, 1e-12) {
+					t.Fatalf("cluster slice path diverged: %d vs %d matches", len(viaSlice), len(want))
+				}
+				if viaSink := clusterJoin(t, opts, cell.workers, items); !apss.EqualMatchSets(viaSink, want, 1e-12) {
+					t.Fatalf("cluster sink path diverged: %d vs %d matches", len(viaSink), len(want))
+				}
+				return
 			}
 			var viaSink []Match
 			if err := SelfJoinCtx(context.Background(), opts, items, CollectInto(&viaSink)); err != nil {
@@ -129,16 +164,17 @@ func TestMatchesContextCancel(t *testing.T) {
 // TestSinkErrorLeavesJoinerReusable stops consumption mid-item via a
 // sink error and requires (a) the item to still be indexed and (b) the
 // joiner to keep producing exactly the reference match stream for every
-// later item — under the sequential engine and under Workers: 4, whose
-// shard group collects every shard's matches before it emits any.
+// later item — under the sequential engine and on a 4-worker cluster,
+// whose coordinator collects every worker's matches before it emits any.
 func TestSinkErrorLeavesJoinerReusable(t *testing.T) {
 	items := nearDupStream(40)
 	const stopAt = 20
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			opts := Options{Theta: 0.7, Lambda: 0.1, Workers: workers}
+			opts := Options{Theta: 0.7, Lambda: 0.1}
 
-			// Reference: per-item match sets from an uninterrupted run.
+			// Reference: per-item match sets from an uninterrupted
+			// sequential run.
 			ref, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -150,8 +186,10 @@ func TestSinkErrorLeavesJoinerReusable(t *testing.T) {
 				}
 			}
 
-			j, err := New(opts)
-			if err != nil {
+			var j *Joiner
+			if workers > 1 {
+				j = clusterJoiner(t, opts, workers)
+			} else if j, err = New(opts); err != nil {
 				t.Fatal(err)
 			}
 			boom := errors.New("boom")
@@ -180,9 +218,10 @@ func TestSinkErrorLeavesJoinerReusable(t *testing.T) {
 	}
 }
 
-// TestParallelSinkEmissionRace drives the shard group under an external
+// TestParallelSinkEmissionRace drives cluster joiners under an external
 // sink; run with -race this verifies the emission path never calls the
-// sink concurrently.
+// sink concurrently, although the coordinator's workers compute side by
+// side.
 func TestParallelSinkEmissionRace(t *testing.T) {
 	items := datagen.TweetsProfile().Scaled(0.05).Generate(3)
 	opts := Options{Theta: 0.5, Lambda: 0.05}
@@ -191,12 +230,7 @@ func TestParallelSinkEmissionRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		opts := opts
-		opts.Workers = workers
-		j, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := clusterJoiner(t, opts, workers)
 		var got []Match
 		for _, it := range items {
 			if err := j.ProcessTo(it, func(m Match) error {
@@ -284,52 +318,6 @@ func TestResumeTimeRegressionTyped(t *testing.T) {
 	}
 }
 
-// TestResumeHonorsWorkers is the satellite regression test: a
-// checkpointed sequential run resumed with Workers > 1 must actually
-// run (and agree with) the configured engine instead of silently
-// falling back to the sequential one.
-func TestResumeHonorsWorkers(t *testing.T) {
-	items := datagen.RCV1Profile().Scaled(0.04).Generate(6)
-	opts := Options{Theta: 0.6, Lambda: 0.05}
-
-	want, err := SelfJoin(opts, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	split := len(items) / 2
-	j, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Match
-	for _, it := range items[:split] {
-		if err := j.ProcessTo(it, CollectInto(&got)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := j.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := Resume(&buf, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := j2.Options().Workers; got != 4 {
-		t.Fatalf("resumed joiner dropped Workers: got %d, want 4", got)
-	}
-	for _, it := range items[split:] {
-		if err := j2.ProcessTo(it, CollectInto(&got)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !apss.EqualMatchSets(got, want, 1e-9) {
-		t.Fatalf("resume under Workers=4 diverged: %d vs %d matches", len(got), len(want))
-	}
-}
-
 // TestOptionsDecisionTable spot-checks the unified support matrix:
 // combinations that used to be silently ignored or scattered across
 // operators now all fail with ErrUnsupported.
@@ -354,10 +342,6 @@ func TestOptionsDecisionTable(t *testing.T) {
 		}()},
 		{"batch-with-kernel", func() error {
 			_, err := BatchJoin([]Vector{good}, 0.5, BatchOptions{Kernel: SlidingWindow{Tau: 1}})
-			return err
-		}()},
-		{"batch-with-workers", func() error {
-			_, err := BatchJoin([]Vector{good}, 0.5, BatchOptions{Workers: 2})
 			return err
 		}()},
 		{"resume-minibatch", func() error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sssj/internal/apss"
+	"sssj/internal/cluster"
 	"sssj/internal/core"
 	"sssj/internal/index/streaming"
 	"sssj/internal/vec"
@@ -49,20 +50,34 @@ func TestExpiryBoundaryAgainstBruteForce(t *testing.T) {
 		}
 		for _, kind := range []streaming.Kind{streaming.INV, streaming.L2, streaming.L2AP} {
 			for _, shape := range []struct {
-				name string
-				opts streaming.Options
+				name    string
+				opts    streaming.Options
+				workers int // > 0: a cluster of that width instead
 			}{
-				{"seq", streaming.Options{}},
-				{"scalar", streaming.Options{Ablations: streaming.Ablations{ScalarKernel: true}}},
-				{"w2", streaming.Options{Workers: 2}},
+				{"seq", streaming.Options{}, 0},
+				{"scalar", streaming.Options{Ablations: streaming.Ablations{ScalarKernel: true}}, 0},
+				{"w2", streaming.Options{}, 2},
 				// A lone worker fed every item: dimensions 5 and 9 are
 				// both its own, so it must report brute force's pair too.
-				{"s1", streaming.Options{Shard: streaming.Shard{ID: 1, N: 2}}},
+				{"s1", streaming.Options{Shard: streaming.Shard{ID: 1, N: 2}}, 0},
 			} {
 				t.Run(fmt.Sprintf("%d/%v/%s", i, kind, shape.name), func(t *testing.T) {
-					ix, err := streaming.New(kind, p, shape.opts)
-					if err != nil {
-						t.Fatal(err)
+					var ix interface {
+						Add(Item) ([]apss.Match, error)
+					}
+					if shape.workers > 0 {
+						cl, err := cluster.StartLocal(kind, p, cluster.LocalOptions{Workers: shape.workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer cl.Close()
+						ix = cl
+					} else {
+						sx, err := streaming.New(kind, p, shape.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ix = sx
 					}
 					var got []apss.Match
 					for _, it := range items {

@@ -20,8 +20,8 @@ import (
 // equals the self-join filtered to cross-side pairs, with bit-identical
 // similarities (the engines keep every statistic side-blind so that the
 // equality is exact, not approximate). The test battery checks this
-// metamorphic property across the whole framework × index × workers
-// grid and in a fuzz target.
+// metamorphic property across the whole framework × index grid and in
+// a fuzz target.
 
 // ForeignJoiner is the item-at-a-time operator of the two-stream
 // foreign join. ProcessA feeds the next item of stream A, ProcessB of
@@ -37,7 +37,7 @@ import (
 //
 // A ForeignJoiner is a thin side-tagging wrapper over a Joiner built
 // with Options.Join = JoinForeign; everything else — sink semantics,
-// ErrTimeRegression, Workers, MiniBatch delays, checkpointing — follows
+// ErrTimeRegression, MiniBatch delays, checkpointing — follows
 // the Joiner contract.
 type ForeignJoiner struct {
 	j *Joiner

@@ -41,15 +41,16 @@ func crossSideOnly(ms []Match, side map[uint64]Side) []Match {
 }
 
 // foreignGrid is the oracle grid of the metamorphic battery:
-// {STR, MB} × {INV, L2, L2AP} × workers {1, 4} (STR only) × θ {0.5, 0.9}.
-func foreignGrid() []Options {
-	var out []Options
+// {STR, MB} × {INV, L2, L2AP} × θ {0.5, 0.9}, STR on the sequential
+// engine and on a 4-worker cluster.
+func foreignGrid() []deployCell {
+	var out []deployCell
 	for _, theta := range []float64{0.5, 0.9} {
 		for _, ix := range []IndexKind{IndexINV, IndexL2, IndexL2AP} {
 			for _, w := range []int{1, 4} {
-				out = append(out, Options{Theta: theta, Lambda: 0.05, Framework: Streaming, Index: ix, Workers: w})
+				out = append(out, deployCell{Options{Theta: theta, Lambda: 0.05, Framework: Streaming, Index: ix}, w})
 			}
-			out = append(out, Options{Theta: theta, Lambda: 0.05, Framework: MiniBatch, Index: ix})
+			out = append(out, deployCell{Options{Theta: theta, Lambda: 0.05, Framework: MiniBatch, Index: ix}, 0})
 		}
 	}
 	return out
@@ -58,28 +59,22 @@ func foreignGrid() []Options {
 // TestForeignSelfJoinOracle is the metamorphic battery: on an
 // interleaved A/B stream, the foreign join must equal the side-filtered
 // self-join — same pairs, bit-identical similarities (eps 0) — across
-// the full framework × index × workers × θ grid, which includes the
-// shard group's foreign gating.
+// the full framework × index × θ grid, which includes the cluster
+// workers' foreign gating.
 func TestForeignSelfJoinOracle(t *testing.T) {
 	items := tagAlternating(datagen.RCV1Profile().Scaled(0.05).Generate(17))
 	side := make(map[uint64]Side, len(items))
 	for _, it := range items {
 		side[it.ID] = it.Side
 	}
-	for _, opts := range foreignGrid() {
-		name := fmt.Sprintf("%v-%v-w%d-t%v", opts.Framework, opts.Index, opts.Workers, opts.Theta)
-		t.Run(name, func(t *testing.T) {
-			self, err := SelfJoin(opts, items)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, cell := range foreignGrid() {
+		opts := cell.opts
+		t.Run(fmt.Sprintf("%s-t%v", cell.name(), opts.Theta), func(t *testing.T) {
+			self := joinOn(t, opts, cell.workers, items)
 			want := crossSideOnly(self, side)
 			fOpts := opts
 			fOpts.Join = JoinForeign
-			got, err := SelfJoin(fOpts, items)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := joinOn(t, fOpts, cell.workers, items)
 			for _, m := range got {
 				if side[m.X] == side[m.Y] {
 					t.Fatalf("foreign join emitted same-side pair %+v", m)
@@ -233,7 +228,7 @@ func TestMergeSideSources(t *testing.T) {
 
 // TestForeignCheckpointResume round-trips a mid-stream foreign join
 // through Checkpoint/ResumeForeign (v4 side bits) and requires the
-// resumed run to continue bit-identically, including under Workers=4.
+// resumed run to continue bit-identically.
 func TestForeignCheckpointResume(t *testing.T) {
 	items := tagAlternating(datagen.RCV1Profile().Scaled(0.04).Generate(23))
 	opts := Options{Theta: 0.6, Lambda: 0.05}
@@ -249,41 +244,35 @@ func TestForeignCheckpointResume(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{1, 4} {
-		split := len(items) / 2
-		fj, err := NewForeign(opts)
-		if err != nil {
+	split := len(items) / 2
+	fj, err := NewForeign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Match
+	for _, it := range items[:split] {
+		if err := fj.ProcessTo(it, CollectInto(&got)); err != nil {
 			t.Fatal(err)
 		}
-		var got []Match
-		for _, it := range items[:split] {
-			if err := fj.ProcessTo(it, CollectInto(&got)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := fj.Checkpoint(&buf); err != nil {
+	}
+	var buf bytes.Buffer
+	if err := fj.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fj2, err := ResumeForeign(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fj2.Options().Join != JoinForeign {
+		t.Fatal("resumed joiner lost JoinForeign")
+	}
+	for _, it := range items[split:] {
+		if err := fj2.ProcessTo(it, CollectInto(&got)); err != nil {
 			t.Fatal(err)
 		}
-		fj2, err := ResumeForeign(&buf, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fj2.Options().Join != JoinForeign {
-			t.Fatal("resumed joiner lost JoinForeign")
-		}
-		for _, it := range items[split:] {
-			if err := fj2.ProcessTo(it, CollectInto(&got)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eps := 0.0
-		if workers > 1 {
-			eps = 1e-9 // parallel INV-free engines are exact; stay strict but allow parallel merge rounding
-		}
-		if !apss.EqualMatchSets(got, want, eps) {
-			t.Fatalf("w%d: resumed foreign run diverged: %d vs %d matches", workers, len(got), len(want))
-		}
+	}
+	if !apss.EqualMatchSets(got, want, 0) {
+		t.Fatalf("resumed foreign run diverged: %d vs %d matches", len(got), len(want))
 	}
 }
 
@@ -300,11 +289,10 @@ func TestForeignDecisionTable(t *testing.T) {
 	if _, err := New(Options{Theta: 0.5, Lambda: 0.1, Join: JoinMode(7)}); !errors.Is(err, ErrUnsupported) {
 		t.Fatal("unknown join mode accepted")
 	}
-	// Supported cells construct: both frameworks, workers, dim order.
+	// Supported cells construct: both frameworks, dim order.
 	for _, o := range []Options{
 		{Theta: 0.5, Lambda: 0.1, Join: JoinForeign},
 		{Theta: 0.5, Lambda: 0.1, Join: JoinForeign, Framework: MiniBatch, Index: IndexAP},
-		{Theta: 0.5, Lambda: 0.1, Join: JoinForeign, Workers: 4},
 		{Theta: 0.5, Lambda: 0.1, Join: JoinForeign, DimOrder: DimOrder{Strategy: OrderDocFreqAsc, WarmupItems: 4}},
 	} {
 		if _, err := New(o); err != nil {
@@ -376,7 +364,7 @@ func FuzzForeignSelfParity(f *testing.F) {
 			return
 		}
 		theta := []float64{0.5, 0.7, 0.9}[int(thetaSel)%3]
-		opts := Options{Theta: theta, Lambda: 0.1}
+		opts, workers := Options{Theta: theta, Lambda: 0.1}, 1
 		switch cfg % 6 {
 		case 0:
 			opts.Index = IndexINV
@@ -386,7 +374,7 @@ func FuzzForeignSelfParity(f *testing.F) {
 			opts.Index = IndexL2AP
 		case 3:
 			opts.Index = IndexL2
-			opts.Workers = 4
+			workers = 4
 		case 4:
 			opts.Framework = MiniBatch
 			opts.Index = IndexL2
@@ -399,17 +387,11 @@ func FuzzForeignSelfParity(f *testing.F) {
 		for _, it := range items {
 			side[it.ID] = it.Side
 		}
-		self, err := SelfJoin(opts, items)
-		if err != nil {
-			t.Fatal(err)
-		}
+		self := joinOn(t, opts, workers, items)
 		want := crossSideOnly(self, side)
 		fOpts := opts
 		fOpts.Join = JoinForeign
-		got, err := SelfJoin(fOpts, items)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := joinOn(t, fOpts, workers, items)
 		if !apss.EqualMatchSets(got, want, 0) {
 			t.Fatalf("foreign ≠ side-filtered self: %d vs %d (seed %d cfg %d θ %v)",
 				len(got), len(want), seed, cfg, theta)

@@ -108,9 +108,9 @@ func (s *STR) IndexSize() streaming.SizeInfo { return s.idx.Size() }
 // false when the index is not adaptive.
 func (s *STR) AdaptInfo() (streaming.AdaptState, bool) { return streaming.AdaptInfo(s.idx) }
 
-// ArenaInfo exposes block-arena occupancy when the underlying index is
-// arena-backed (every index built by streaming.New is; the frozen ring
-// oracle is not, and reports ok = false).
+// ArenaInfo exposes block-arena occupancy when the underlying index
+// implements streaming.ArenaSizer; ok is false otherwise (the adaptive
+// index).
 func (s *STR) ArenaInfo() (streaming.BlockInfo, bool) {
 	if as, ok := s.idx.(streaming.ArenaSizer); ok {
 		return as.ArenaInfo(), true

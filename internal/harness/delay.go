@@ -43,7 +43,7 @@ func RunDelay(cfg Config, dataset string, p apss.Params) ([]DelayStat, error) {
 	var out []DelayStat
 	for _, fw := range []string{FrameworkSTR, FrameworkMB} {
 		for _, ix := range IndexNames() {
-			j, err := newJoiner(fw, ix, p, nil, 0, false, streaming.Adapt{})
+			j, err := newJoiner(fw, ix, p, nil, false, streaming.Adapt{})
 			if err != nil {
 				return nil, err
 			}

@@ -82,12 +82,11 @@ type Result struct {
 // Label renders "FRAMEWORK-INDEX".
 func (r Result) Label() string { return r.Framework + "-" + r.Index }
 
-// newJoiner instantiates a framework × index combination. workers > 1
-// selects the in-process STR shard group (STR only); foreign selects
-// the two-stream foreign join; adapt enables the self-tuning layer
-// (STR only; the index name "AUTO" additionally turns on the engine
-// selector, starting from the INV floor).
-func newJoiner(framework, index string, p apss.Params, c *metrics.Counters, workers int, foreign bool, adapt streaming.Adapt) (core.Joiner, error) {
+// newJoiner instantiates a framework × index combination. foreign
+// selects the two-stream foreign join; adapt enables the self-tuning
+// layer (STR only; the index name "AUTO" additionally turns on the
+// engine selector, starting from the INV floor).
+func newJoiner(framework, index string, p apss.Params, c *metrics.Counters, foreign bool, adapt streaming.Adapt) (core.Joiner, error) {
 	switch framework {
 	case FrameworkSTR:
 		var k streaming.Kind
@@ -104,7 +103,7 @@ func newJoiner(framework, index string, p apss.Params, c *metrics.Counters, work
 		default:
 			return nil, fmt.Errorf("harness: unknown index %q", index)
 		}
-		return core.NewSTRFull(k, p, streaming.Options{Counters: c, Workers: workers, Foreign: foreign, Adapt: adapt})
+		return core.NewSTRFull(k, p, streaming.Options{Counters: c, Foreign: foreign, Adapt: adapt})
 	case FrameworkMB:
 		var k static.Kind
 		switch index {
@@ -132,9 +131,6 @@ func newJoiner(framework, index string, p apss.Params, c *metrics.Counters, work
 // RunOpts tunes a single measured run beyond the paper's defaults. The
 // zero value reproduces RunOne exactly.
 type RunOpts struct {
-	// Workers is the shard count of the STR shard group (≤ 1 runs the
-	// paper's sequential engine; ignored by MB).
-	Workers int
 	// Budget is the cooperative per-run deadline; 0 = unlimited.
 	Budget time.Duration
 	// Latency, when non-nil, receives one observation per processed item:
@@ -193,7 +189,7 @@ const ShuffleSeed int64 = 1
 // matrix.
 func Supported(framework, index string) bool {
 	var c metrics.Counters
-	_, err := newJoiner(framework, index, apss.Params{Theta: 0.5, Lambda: 0.1}, &c, 0, false, streaming.Adapt{})
+	_, err := newJoiner(framework, index, apss.Params{Theta: 0.5, Lambda: 0.1}, &c, false, streaming.Adapt{})
 	return err == nil
 }
 
@@ -205,15 +201,9 @@ func RunOne(items []stream.Item, dataset, framework, index string, p apss.Params
 	return RunOneOpts(items, dataset, framework, index, p, RunOpts{Budget: budget})
 }
 
-// RunOneWorkers is RunOne with an explicit worker-shard count for the
-// STR framework (values ≤ 1 run the paper's sequential engine).
-func RunOneWorkers(items []stream.Item, dataset, framework, index string, p apss.Params, budget time.Duration, workers int) Result {
-	return RunOneOpts(items, dataset, framework, index, p, RunOpts{Budget: budget, Workers: workers})
-}
-
 // RunOneOpts is the fully instrumented run entry point: RunOne plus
-// worker shards and optional per-item latency capture. Every other Run*
-// helper funnels through it.
+// the cluster, session, foreign and adaptive variants and optional
+// per-item latency capture. Every other Run* helper funnels through it.
 func RunOneOpts(items []stream.Item, dataset, framework, index string, p apss.Params, o RunOpts) Result {
 	budget := o.Budget
 	res := Result{
@@ -231,7 +221,7 @@ func RunOneOpts(items []stream.Item, dataset, framework, index string, p apss.Pa
 	} else if o.Sessions > 0 {
 		j, err = newSessionsJoiner(framework, index, p, o)
 	} else {
-		j, err = newJoiner(framework, index, p, &res.Stats, o.Workers, o.Foreign, o.Adapt)
+		j, err = newJoiner(framework, index, p, &res.Stats, o.Foreign, o.Adapt)
 	}
 	if err != nil {
 		return res

@@ -71,7 +71,6 @@ type adaptiveIndex struct {
 	p       apss.Params
 	kernel  apss.Kernel
 	tau     float64
-	workers int
 	foreign bool
 	abl     Ablations
 	cfg     Adapt
@@ -140,7 +139,6 @@ func newAdaptiveIndex(kind Kind, params apss.Params, kernel apss.Kernel, opts Op
 		p:       params,
 		kernel:  kernel,
 		tau:     kernel.Horizon(params.Theta),
-		workers: opts.Workers,
 		foreign: opts.Foreign,
 		abl:     opts.Ablations,
 		cfg:     opts.Adapt,
@@ -161,7 +159,7 @@ func newAdaptiveIndex(kind Kind, params apss.Params, kernel apss.Kernel, opts Op
 		start = a.kindFor(a.sel.Tier())
 	}
 	scratch := &metrics.Counters{}
-	inner, err := newCoreIndex(start, params, kernel, a.workers, Shard{}, a.foreign, a.abl, scratch)
+	inner, err := newCoreIndex(start, params, kernel, Shard{}, a.foreign, a.abl, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +293,7 @@ func (a *adaptiveIndex) review() error {
 // over. Replay counter deltas are withheld from the caller's Counters.
 func (a *adaptiveIndex) rebuild(kind Kind, dm *dimorder.Map) error {
 	scratch := &metrics.Counters{}
-	inner, err := newCoreIndex(kind, a.p, a.kernel, a.workers, Shard{}, a.foreign, a.abl, scratch)
+	inner, err := newCoreIndex(kind, a.p, a.kernel, Shard{}, a.foreign, a.abl, scratch)
 	if err != nil {
 		return err
 	}

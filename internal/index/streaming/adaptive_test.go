@@ -35,7 +35,9 @@ func adaptConfigs() map[string]Adapt {
 
 // TestAdaptiveParityStatic feeds identical streams to a static index and
 // its adaptive counterpart and requires the same match set for every
-// single item, across engines, worker counts, and feature combinations.
+// single item, across engines and feature combinations. In the w=4 cells
+// the static reference is the 4-shard group, so the adaptive engine is
+// checked against the sharded deployment's output too.
 func TestAdaptiveParityStatic(t *testing.T) {
 	p := apss.Params{Theta: 0.5, Lambda: 0.05}
 	for name, ad := range adaptConfigs() {
@@ -44,11 +46,11 @@ func TestAdaptiveParityStatic(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/w=%d", name, kind, workers), func(t *testing.T) {
 					for seed := int64(0); seed < 2; seed++ {
 						items := fuzzItems(seed, 300)
-						static, err := New(kind, p, Options{Workers: workers})
+						static, err := newTestIndex(kind, p, Options{}, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
-						adaptive, err := New(kind, p, Options{Workers: workers, Adapt: ad})
+						adaptive, err := New(kind, p, Options{Adapt: ad})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -65,8 +67,8 @@ func TestAdaptiveParityStatic(t *testing.T) {
 					}
 					// Dimension churn exercises expiry during rebuilds.
 					items := churnItems(7, 400)
-					static, _ := New(kind, p, Options{Workers: workers})
-					adaptive, _ := New(kind, p, Options{Workers: workers, Adapt: ad})
+					static, _ := newTestIndex(kind, p, Options{}, workers)
+					adaptive, _ := New(kind, p, Options{Adapt: ad})
 					for i, it := range items {
 						want, _ := static.Add(it)
 						got, err := adaptive.Add(it)

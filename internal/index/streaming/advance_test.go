@@ -21,15 +21,15 @@ func TestAdvanceBarrierOutputNeutral(t *testing.T) {
 	for _, kind := range []Kind{INV, L2, L2AP} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/w=%d", kind, workers), func(t *testing.T) {
-				plain, err := New(kind, p, Options{Workers: workers})
+				plain, err := newTestIndex(kind, p, Options{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact, err := New(kind, p, Options{Workers: workers})
+				exact, err := newTestIndex(kind, p, Options{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				loose, err := New(kind, p, Options{Workers: workers})
+				loose, err := newTestIndex(kind, p, Options{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestAdvanceEstablishesClockFloor(t *testing.T) {
 	p := apss.Params{Theta: 0.6, Lambda: 0.05}
 	for _, kind := range []Kind{INV, L2, L2AP} {
 		for _, workers := range []int{1, 4} {
-			ix, err := New(kind, p, Options{Workers: workers})
+			ix, err := newTestIndex(kind, p, Options{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package streaming
 
 import (
 	"math"
-	"slices"
 
 	"sssj/internal/apss"
 )
@@ -422,8 +421,8 @@ func (ar *parena) vcompact(ch *chain, now, tau float64, blk func(b int32, base, 
 	return removed
 }
 
-// ascend visits every live entry oldest→newest (checkpointing, the
-// shard group's restore, and tests).
+// ascend visits every live entry oldest→newest (the INV live-window
+// rebuild, and tests).
 func (ar *parena) ascend(ch *chain, visit func(i int)) {
 	for b := ch.oldest; b >= 0; b = ar.newer[b] {
 		base := int(b) << blockShift
@@ -476,11 +475,6 @@ func (s *slotTab) alloc(id uint64, t float64, side apss.Side) uint32 {
 
 // release recycles a slot whose item left the horizon.
 func (s *slotTab) release(sl uint32) { s.free = append(s.free, sl) }
-
-// clone returns an independent copy of the table.
-func (s *slotTab) clone() slotTab {
-	return slotTab{id: slices.Clone(s.id), t: slices.Clone(s.t), side: slices.Clone(s.side), free: slices.Clone(s.free)}
-}
 
 // span returns the size of the slot space (live + free), the bound the
 // accumulator arrays are sized to.

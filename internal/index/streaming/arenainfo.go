@@ -4,9 +4,9 @@ package streaming
 // blocks the arena has ever allocated and how many of those currently
 // sit on the freelist. Live blocks are the difference. It is reported
 // separately from SizeInfo — which counts logical posting entries and is
-// compared by struct equality against the ring-buffer oracle in the
-// parity tests — because the oracle has no arena and must keep matching
-// field for field.
+// compared by struct equality against the test suite's ring-buffer
+// oracle (ring_test.go) — because the oracle has no arena and must keep
+// matching field for field.
 type BlockInfo struct {
 	// Blocks is the number of blocks ever allocated (live + free).
 	Blocks int
@@ -21,8 +21,9 @@ func (b *BlockInfo) add(ar *parena) {
 	b.FreeBlocks += ar.freeBlocks()
 }
 
-// ArenaSizer is implemented by arena-backed indexes; the frozen ring
-// oracle deliberately is not, which is how callers distinguish the two.
+// ArenaSizer is implemented by the arena-backed engines and the
+// dimension-ordering wrapper; the adaptive wrapper, whose engine is
+// replaced on every rebuild, is not.
 type ArenaSizer interface {
 	ArenaInfo() BlockInfo
 }

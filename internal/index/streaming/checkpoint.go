@@ -140,21 +140,6 @@ func SaveFull(ix Index, et *EventTimeState, w io.Writer) error {
 		saveHeader(cw, engineKind(v.useAP, v.useL2), v.p, v.kernel, v.now, v.begun, v.clock)
 		saveLists(cw, true, postings{&v.ar, v.lists, &v.slots})
 		saveEngine(cw, &v.icCore, v.mhatVal, v.mhatT, v.lastTouch)
-	case *group:
-		// A shard group writes the sequential format, so a checkpoint
-		// restores under any Workers value: the header, residuals and
-		// statistics of shard 0 (every shard holds the same) and the
-		// union of the shards' posting lists.
-		if len(v.engines) > 0 {
-			s0 := v.engines[0]
-			saveHeader(cw, engineKind(s0.useAP, s0.useL2), s0.p, s0.kernel, s0.now, s0.begun, s0.clock)
-			saveLists(cw, true, v.postings()...)
-			saveEngine(cw, &s0.icCore, s0.mhatVal, s0.mhatT, s0.lastTouch)
-		} else {
-			s0 := v.invs[0]
-			saveHeader(cw, INV, s0.p, s0.kernel, s0.now, s0.begun, s0.clock)
-			saveLists(cw, false, v.postings()...)
-		}
 	default:
 		return fmt.Errorf("streaming: cannot checkpoint %T", ix)
 	}
@@ -173,17 +158,11 @@ type postings struct {
 }
 
 // saveLists writes the list count, then each list's dimension and chain.
-func saveLists(cw *ckptWriter, withPnorm bool, ps ...postings) {
-	n := 0
-	for _, p := range ps {
-		n += len(p.lists)
-	}
-	cw.u32(uint32(n))
-	for _, p := range ps {
-		for d, ch := range p.lists {
-			cw.u32(d)
-			saveChain(cw, p.ar, p.slots, ch, withPnorm)
-		}
+func saveLists(cw *ckptWriter, withPnorm bool, p postings) {
+	cw.u32(uint32(len(p.lists)))
+	for d, ch := range p.lists {
+		cw.u32(d)
+		saveChain(cw, p.ar, p.slots, ch, withPnorm)
 	}
 }
 
@@ -352,13 +331,10 @@ func saveRes(cw *ckptWriter, res *lhmap.Map[uint64, *smeta], slots *slotTab) {
 }
 
 // Load restores an index saved by Save. opts supplies runtime-only state
-// (counters, ablations, the Workers count — a checkpoint restores under
-// any Workers value, regardless of the value it was saved with: the file
-// decodes into the sequential engine, whose exact state a Workers > 1
-// shard group then adopts — and, when the checkpoint used a custom
-// kernel, the kernel itself). The Foreign flag likewise is operator
-// config, chosen at load time: a v4 checkpoint restores each item's side
-// bit, and a file written before sides existed (v1–v3) loads into a
+// (counters, ablations and, when the checkpoint used a custom kernel,
+// the kernel itself). The Foreign flag likewise is operator config,
+// chosen at load time: a v4 checkpoint restores each item's side bit,
+// and a file written before sides existed (v1–v3) loads into a
 // foreign-join engine with every item on side A. A cluster worker
 // (Options.Shard with N > 1) is refused with ErrShard.
 func Load(r io.Reader, opts Options) (Index, error) {
@@ -428,8 +404,6 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 	// it (the selector restarts from the checkpointed kind).
 	adaptOpts := opts
 	opts.Adapt = Adapt{}
-	groupOpts := opts
-	opts.Workers = 0
 	ix, err := New(kind, p, opts)
 	if err != nil {
 		return nil, nil, err
@@ -617,16 +591,6 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 			return nil, nil, err
 		}
 		return aix, et, nil
-	}
-	if groupOpts.Workers > 1 {
-		gix, err := New(kind, p, groupOpts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := gix.(*group).adopt(ix); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-		}
-		ix = gix
 	}
 	return ix, et, nil
 }

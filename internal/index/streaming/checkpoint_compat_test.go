@@ -255,8 +255,7 @@ func TestLoadV3IntoForeignEngine(t *testing.T) {
 // requires the restored run to continue bit-identically — the side bit
 // of a recycled slot's new owner must not leak into a stale incarnation
 // or vice versa. Covered for the INV index (slot recycling via the live
-// ring) and the L2AP engine (recycling via residual expiry, plus m/m̂λ),
-// restoring into both the sequential engine and the shard group.
+// ring) and the L2AP engine (recycling via residual expiry, plus m/m̂λ).
 func TestV4SideBitsRoundTripRecycledSlots(t *testing.T) {
 	p := apss.Params{Theta: 0.55, Lambda: 0.4} // short horizon → heavy recycling
 	items := fuzzItems(9, 300)
@@ -266,63 +265,61 @@ func TestV4SideBitsRoundTripRecycledSlots(t *testing.T) {
 		}
 	}
 	for _, kind := range []Kind{INV, L2AP} {
-		for _, workers := range []int{1, 4} {
-			ref, err := New(kind, p, Options{Foreign: true})
+		ref, err := New(kind, p, Options{Foreign: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []apss.Match
+		for _, it := range items {
+			ms, err := ref.Add(it)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []apss.Match
-			for _, it := range items {
-				ms, err := ref.Add(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, ms...)
-			}
+			want = append(want, ms...)
+		}
 
-			split := 150
-			live, err := New(kind, p, Options{Foreign: true})
+		split := 150
+		live, err := New(kind, p, Options{Foreign: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []apss.Match
+		for _, it := range items[:split] {
+			ms, err := live.Add(it)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got []apss.Match
-			for _, it := range items[:split] {
-				ms, err := live.Add(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, ms...)
+			got = append(got, ms...)
+		}
+		// The short horizon must actually have recycled slots, or the
+		// test is vacuous.
+		switch v := live.(type) {
+		case *invIndex:
+			if len(v.slots.free) == 0 && v.slots.span() >= split {
+				t.Fatal("no slot recycling before checkpoint; shorten the horizon")
 			}
-			// The short horizon must actually have recycled slots, or the
-			// test is vacuous.
-			switch v := live.(type) {
-			case *invIndex:
-				if len(v.slots.free) == 0 && v.slots.span() >= split {
-					t.Fatal("no slot recycling before checkpoint; shorten the horizon")
-				}
-			case *engine:
-				if len(v.slots.free) == 0 && v.slots.span() >= split {
-					t.Fatal("no slot recycling before checkpoint; shorten the horizon")
-				}
+		case *engine:
+			if len(v.slots.free) == 0 && v.slots.span() >= split {
+				t.Fatal("no slot recycling before checkpoint; shorten the horizon")
 			}
-			var buf bytes.Buffer
-			if err := Save(live, &buf); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := Load(bytes.NewReader(buf.Bytes()), Options{Foreign: true, Workers: workers})
+		}
+		var buf bytes.Buffer
+		if err := Save(live, &buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Load(bytes.NewReader(buf.Bytes()), Options{Foreign: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items[split:] {
+			ms, err := restored.Add(it)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, it := range items[split:] {
-				ms, err := restored.Add(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, ms...)
-			}
-			if !equalMatchesExact(got, want) {
-				t.Fatalf("%v w%d: restored foreign run diverged: %d vs %d matches", kind, workers, len(got), len(want))
-			}
+			got = append(got, ms...)
+		}
+		if !equalMatchesExact(got, want) {
+			t.Fatalf("%v: restored foreign run diverged: %d vs %d matches", kind, len(got), len(want))
 		}
 	}
 }

@@ -3,9 +3,11 @@ package streaming
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"sssj/internal/apss"
+	"sssj/internal/metrics"
 	"sssj/internal/stream"
 )
 
@@ -69,6 +71,83 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 					t.Fatalf("%v seed=%d split=%d: size %+v vs %+v",
 						kind, seed, split, second.Size(), ref.Size())
 				}
+			}
+		}
+	}
+}
+
+// TestWorkersResumeCounters: a run checkpointed at item 200 of 400 and
+// resumed must continue exactly like the uninterrupted run — the same
+// matches bit for bit and the same pruning work. The counters are the
+// point: a restored engine whose residual boundaries, pscores or m/m̂λ
+// came out looser would still emit the right pairs, only with more
+// candidates, full dots, or scanned entries.
+func TestWorkersResumeCounters(t *testing.T) {
+	const n, split = 400, 200
+	for _, kind := range []Kind{L2, L2AP, AP} {
+		for _, p := range []apss.Params{
+			{Theta: 0.5, Lambda: 0.05},
+			{Theta: 0.7, Lambda: 0.01},
+			{Theta: 0.9, Lambda: 0.2},
+		} {
+			for seed := int64(0); seed < 4; seed++ {
+				t.Run(fmt.Sprintf("%v/theta=%g/lambda=%g/seed=%d", kind, p.Theta, p.Lambda, seed), func(t *testing.T) {
+					items := fuzzItems(seed, n)
+					var ref metrics.Counters
+					whole, err := New(kind, p, Options{Counters: &ref})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []apss.Match
+					for i, it := range items {
+						if i == split {
+							ref = metrics.Counters{}
+						}
+						ms, err := whole.Add(it)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i >= split {
+							want = append(want, ms...)
+						}
+					}
+
+					first, err := New(kind, p, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, it := range items[:split] {
+						if _, err := first.Add(it); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var buf bytes.Buffer
+					if err := Save(first, &buf); err != nil {
+						t.Fatal(err)
+					}
+					var got metrics.Counters
+					second, err := Load(&buf, Options{Counters: &got})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var gotMs []apss.Match
+					for _, it := range items[split:] {
+						ms, err := second.Add(it)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotMs = append(gotMs, ms...)
+					}
+					if len(want) == 0 {
+						t.Fatal("no matches after the split; the check is vacuous")
+					}
+					if !equalMatchesExact(gotMs, want) {
+						t.Fatalf("resumed run diverged: %d vs %d matches", len(gotMs), len(want))
+					}
+					if got.Candidates != ref.Candidates || got.FullDots != ref.FullDots || got.EntriesTraversed != ref.EntriesTraversed {
+						t.Fatalf("resumed run lost pruning:\nresumed       %+v\nuninterrupted %+v", got, ref)
+					}
+				})
 			}
 		}
 	}

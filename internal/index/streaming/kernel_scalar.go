@@ -12,7 +12,7 @@ import (
 // vectorized block kernels (kernelv.go) replaced them on the default
 // path. It is kept verbatim as the parity oracle — selected by the
 // Ablations.ScalarKernel flag, exercised by kernel_parity_test.go and
-// FuzzKernelParity — exactly like ring.go preserved the pre-arena
+// FuzzKernelParity — exactly like ring_test.go preserves the pre-arena
 // posting storage. Do not optimize or restructure this file; its value
 // is that it does not change. The vectorized kernels must reproduce its
 // accumulator state, its match sets, and its metrics.Counters bit for

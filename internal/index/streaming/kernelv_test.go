@@ -80,14 +80,14 @@ func TestArenaSummariesCompacted(t *testing.T) {
 // runKernelPair feeds items to two indexes that differ only in the scan
 // kernel and requires bit-identical matches and counters. after, if not
 // nil, is called on each index after every item.
-func runKernelPair(t *testing.T, kind Kind, p apss.Params, opts Options, items []stream.Item, after func(ix Index, i int)) {
+func runKernelPair(t *testing.T, kind Kind, p apss.Params, opts Options, workers int, items []stream.Item, after func(ix Index, i int)) {
 	t.Helper()
 	run := func(scalar bool) ([]apss.Match, metrics.Counters) {
 		var c metrics.Counters
 		o := opts
 		o.Counters = &c
 		o.Ablations.ScalarKernel = scalar
-		ix, err := New(kind, p, o)
+		ix, err := newTestIndex(kind, p, o, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestOutOfContractParity(t *testing.T) {
 				items[i].Vec = v
 			}
 			for _, opts := range []Options{{}, {Shard: Shard{ID: 1, N: 2}}} {
-				runKernelPair(t, L2, p, opts, items, tc.after)
+				runKernelPair(t, L2, p, opts, 0, items, tc.after)
 			}
 		})
 	}
@@ -279,12 +279,13 @@ func TestScalarKernelParity(t *testing.T) {
 		}
 	}
 	deploys := []struct {
-		name string
-		opts Options
+		name    string
+		opts    Options
+		workers int // > 1: the shard group of group_test.go
 	}{
-		{"seq", Options{}},
-		{"w3", Options{Workers: 3}},
-		{"s1", Options{Shard: Shard{ID: 1, N: 2}}},
+		{"seq", Options{}, 0},
+		{"w3", Options{}, 3},
+		{"s1", Options{Shard: Shard{ID: 1, N: 2}}, 0},
 	}
 	for _, kind := range []Kind{INV, L2, L2AP, AP} {
 		for _, d := range deploys {
@@ -296,7 +297,7 @@ func TestScalarKernelParity(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/%s/%s", kind, d.name, mode), func(t *testing.T) {
 					opts := d.opts
 					opts.Foreign = foreign
-					runKernelPair(t, kind, p, opts, items, nil)
+					runKernelPair(t, kind, p, opts, d.workers, items, nil)
 				})
 				// The tiers read the decay only through Factor and Horizon,
 				// so a heavy-tailed kernel must pass the same cell (INV
@@ -308,7 +309,7 @@ func TestScalarKernelParity(t *testing.T) {
 					opts := d.opts
 					opts.Foreign = foreign
 					opts.Kernel = apss.Polynomial{Alpha: 0.3, P: 1.5}
-					runKernelPair(t, kind, p, opts, items, nil)
+					runKernelPair(t, kind, p, opts, d.workers, items, nil)
 				})
 			}
 		}

@@ -8,15 +8,15 @@ import (
 
 	"sssj/internal/apss"
 	"sssj/internal/dimorder"
-	"sssj/internal/metrics"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
 
-// runKind drains items through a fresh index and returns all matches.
-func runKind(t *testing.T, kind Kind, p apss.Params, opts Options, items []stream.Item) []apss.Match {
+// runKind drains items through a fresh index (newTestIndex) and returns
+// all matches.
+func runKind(t *testing.T, kind Kind, p apss.Params, opts Options, workers int, items []stream.Item) []apss.Match {
 	t.Helper()
-	ix, err := New(kind, p, opts)
+	ix, err := newTestIndex(kind, p, opts, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestParallelParity(t *testing.T) {
 		} {
 			for seed := int64(0); seed < 4; seed++ {
 				items := fuzzItems(seed, 400)
-				want := runKind(t, kind, p, Options{}, items)
+				want := runKind(t, kind, p, Options{}, 0, items)
 				for _, workers := range []int{2, 3, 8} {
 					t.Run(fmt.Sprintf("%v/theta=%g/lambda=%g/seed=%d/w=%d", kind, p.Theta, p.Lambda, seed, workers), func(t *testing.T) {
-						got := runKind(t, kind, p, Options{Workers: workers}, items)
+						got := runKind(t, kind, p, Options{}, workers, items)
 						if !equalMatchesExact(got, want) {
 							t.Fatalf("not bit-identical to the sequential engine: %d vs %d matches", len(got), len(want))
 						}
@@ -95,7 +95,7 @@ func TestParallelStateParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := New(kind, p, Options{Workers: 4})
+		par, err := newTestIndex(kind, p, Options{}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestParallelStateParity(t *testing.T) {
 func TestParallelTimeOrder(t *testing.T) {
 	p := apss.Params{Theta: 0.5, Lambda: 0.1}
 	for _, kind := range []Kind{INV, L2, L2AP} {
-		ix, err := New(kind, p, Options{Workers: 2})
+		ix, err := newTestIndex(kind, p, Options{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,165 +131,6 @@ func TestParallelTimeOrder(t *testing.T) {
 		}
 		if _, err := ix.Add(stream.Item{ID: 1, Time: 4, Vec: v}); err != ErrTimeOrder {
 			t.Fatalf("%v: want ErrTimeOrder, got %v", kind, err)
-		}
-	}
-}
-
-// TestParallelOptionsValidation: negative worker counts and ablations
-// under Workers > 1 are rejected.
-func TestParallelOptionsValidation(t *testing.T) {
-	p := apss.Params{Theta: 0.5, Lambda: 0.1}
-	if _, err := New(L2, p, Options{Workers: -1}); err == nil {
-		t.Fatal("negative Workers accepted")
-	}
-	if _, err := New(L2, p, Options{Workers: 2, Ablations: Ablations{NoL2Bound: true}}); err == nil {
-		t.Fatal("ablations with Workers > 1 accepted")
-	}
-	// Workers 0 and 1 are the sequential engine.
-	for _, w := range []int{0, 1} {
-		ix, err := New(L2, p, Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := ix.(*engine); !ok {
-			t.Fatalf("Workers=%d: want sequential engine, got %T", w, ix)
-		}
-	}
-}
-
-// TestParallelCheckpointRoundtrip: a checkpoint saved from a shard group
-// restores — under the same or a different worker count, including 1 —
-// and continues exactly like an uninterrupted sequential run.
-func TestParallelCheckpointRoundtrip(t *testing.T) {
-	p := apss.Params{Theta: 0.6, Lambda: 0.05}
-	for _, kind := range []Kind{INV, L2, L2AP} {
-		for _, loadWorkers := range []int{0, 3} {
-			items := fuzzItems(5, 300)
-			var want []apss.Match
-			ref, err := New(kind, p, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, it := range items {
-				ms, err := ref.Add(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, ms...)
-			}
-
-			split := 150
-			first, err := New(kind, p, Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []apss.Match
-			for _, it := range items[:split] {
-				ms, err := first.Add(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, ms...)
-			}
-			var buf bytes.Buffer
-			if err := Save(first, &buf); err != nil {
-				t.Fatal(err)
-			}
-			second, err := Load(&buf, Options{Workers: loadWorkers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, it := range items[split:] {
-				ms, err := second.Add(it)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, ms...)
-			}
-			if !equalMatchesExact(got, want) {
-				t.Fatalf("%v loadWorkers=%d: resumed parallel run diverged (%d vs %d)",
-					kind, loadWorkers, len(got), len(want))
-			}
-			if second.Size() != ref.Size() {
-				t.Fatalf("%v loadWorkers=%d: size %+v vs %+v", kind, loadWorkers, second.Size(), ref.Size())
-			}
-		}
-	}
-}
-
-// TestWorkersResumeCounters: a Workers: 3 run checkpointed at item 200
-// of 400 and resumed under Workers: 3 must continue exactly like the
-// uninterrupted run — the same matches bit for bit and the same pruning
-// work. The counters are the point: a restored shard whose per-slot
-// statistics came out looser would still emit the right pairs, only
-// with more candidates, full dots, or scanned entries.
-func TestWorkersResumeCounters(t *testing.T) {
-	const n, split = 400, 200
-	for _, kind := range []Kind{L2, L2AP, AP} {
-		for _, p := range []apss.Params{
-			{Theta: 0.5, Lambda: 0.05},
-			{Theta: 0.7, Lambda: 0.01},
-			{Theta: 0.9, Lambda: 0.2},
-		} {
-			for seed := int64(0); seed < 4; seed++ {
-				t.Run(fmt.Sprintf("%v/theta=%g/lambda=%g/seed=%d", kind, p.Theta, p.Lambda, seed), func(t *testing.T) {
-					items := fuzzItems(seed, n)
-					var ref metrics.Counters
-					whole, err := New(kind, p, Options{Workers: 3, Counters: &ref})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var want []apss.Match
-					for i, it := range items {
-						if i == split {
-							ref = metrics.Counters{}
-						}
-						ms, err := whole.Add(it)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if i >= split {
-							want = append(want, ms...)
-						}
-					}
-
-					first, err := New(kind, p, Options{Workers: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, it := range items[:split] {
-						if _, err := first.Add(it); err != nil {
-							t.Fatal(err)
-						}
-					}
-					var buf bytes.Buffer
-					if err := Save(first, &buf); err != nil {
-						t.Fatal(err)
-					}
-					var got metrics.Counters
-					second, err := Load(&buf, Options{Workers: 3, Counters: &got})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var gotMs []apss.Match
-					for _, it := range items[split:] {
-						ms, err := second.Add(it)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotMs = append(gotMs, ms...)
-					}
-					if len(want) == 0 {
-						t.Fatal("no matches after the split; the check is vacuous")
-					}
-					if !equalMatchesExact(gotMs, want) {
-						t.Fatalf("resumed run diverged: %d vs %d matches", len(gotMs), len(want))
-					}
-					if got.Candidates != ref.Candidates || got.FullDots != ref.FullDots || got.EntriesTraversed != ref.EntriesTraversed {
-						t.Fatalf("resumed run lost pruning:\nresumed       %+v\nuninterrupted %+v", got, ref)
-					}
-				})
-			}
 		}
 	}
 }
@@ -328,7 +169,7 @@ func TestSweepBoundsIndexSize(t *testing.T) {
 	const maxDims = 400
 	for _, kind := range []Kind{INV, L2, L2AP} {
 		for _, workers := range []int{0, 4} {
-			ix, err := New(kind, p, Options{Workers: workers})
+			ix, err := newTestIndex(kind, p, Options{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file holds the arena-vs-ring oracle tests: the frozen ring-backed
-// implementations in ring.go are fed the same streams as the arena-backed
+// implementations in ring_test.go are fed the same streams as the arena-backed
 // engines New returns, and the outputs must agree bit for bit, with
 // identical SizeInfo accounting at every step.
 
@@ -40,7 +40,7 @@ func newRingIndex(t testing.TB, kind Kind, p apss.Params) SinkIndex {
 func runParity(t *testing.T, kind Kind, p apss.Params, workers int, items []stream.Item) {
 	t.Helper()
 	ring := newRingIndex(t, kind, p)
-	arena, err := New(kind, p, Options{Workers: workers})
+	arena, err := newTestIndex(kind, p, Options{}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSweepReleasesEmptyHeads(t *testing.T) {
 	p := apss.Params{Theta: 0.6, Lambda: 0.05}
 	for _, kind := range []Kind{INV, L2, L2AP} {
 		for _, workers := range []int{1, 4} {
-			ix, err := New(kind, p, Options{Workers: workers})
+			ix, err := newTestIndex(kind, p, Options{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sssj/internal/apss"
-	"sssj/internal/lhmap"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
@@ -71,18 +70,6 @@ func (ix *invIndex) insert(x stream.Item) error {
 	return nil
 }
 
-// insert implements inserter for the in-process shard group: every shard
-// indexes x, as every shard sees every item in AddTo.
-func (g *group) insert(x stream.Item) error {
-	defer g.forward()
-	for _, s := range g.shards {
-		if err := s.(inserter).insert(x); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // liveState is everything extractLive recovers from a live engine: the
 // in-horizon items sorted by (time, id), plus the clock state a clone
 // must carry to admit and expire exactly like the original.
@@ -97,47 +84,27 @@ type liveState struct {
 
 // extractLive recovers the live window from an engine. Items come back
 // in non-decreasing time order (ties broken by id), in the engine's
-// current dimension space. A shard group's shards hold identical
-// residual sets and slot tables, so shard 0 speaks for the group, except
-// that INV's chains are split across all of them.
+// current dimension space.
 func extractLive(ix Index) (liveState, error) {
 	var st liveState
-	fromRes := func(res *lhmap.Map[uint64, *smeta], slots *slotTab) {
-		res.Ascend(func(id uint64, m *smeta) bool {
-			st.items = append(st.items, stream.Item{ID: id, Time: m.t, Side: slots.side[m.slot], Vec: m.vec})
-			return true
-		})
-	}
-	fromChains := func(slots *slotTab, from float64, ps ...postings) error {
-		vs, err := chainVectors(from, ps...)
-		for sl, v := range vs {
-			st.items = append(st.items, stream.Item{ID: slots.id[sl], Time: slots.t[sl], Side: slots.side[sl], Vec: v})
-		}
-		return err
-	}
-	var err error
 	switch v := ix.(type) {
 	case *engine:
 		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		fromRes(v.res, &v.slots)
+		v.res.Ascend(func(id uint64, m *smeta) bool {
+			st.items = append(st.items, stream.Item{ID: id, Time: m.t, Side: v.slots.side[m.slot], Vec: m.vec})
+			return true
+		})
 	case *invIndex:
 		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		err = fromChains(&v.slots, v.now-v.tau, postings{&v.ar, v.lists, &v.slots})
-	case *group:
-		if len(v.engines) > 0 {
-			s0 := v.engines[0]
-			st.p, st.kernel, st.now, st.begun, st.clock = s0.p, s0.kernel, s0.now, s0.begun, s0.clock
-			fromRes(s0.res, &s0.slots)
-		} else {
-			s0 := v.invs[0]
-			st.p, st.kernel, st.now, st.begun, st.clock = s0.p, s0.kernel, s0.now, s0.begun, s0.clock
-			err = fromChains(&s0.slots, s0.now-s0.tau, v.postings()...)
+		vs, err := chainVectors(v.now-v.tau, postings{&v.ar, v.lists, &v.slots})
+		if err != nil {
+			return liveState{}, err
+		}
+		for sl, x := range vs {
+			st.items = append(st.items, stream.Item{ID: v.slots.id[sl], Time: v.slots.t[sl], Side: v.slots.side[sl], Vec: x})
 		}
 	default:
 		return liveState{}, fmt.Errorf("streaming: cannot extract the live window of %T", ix)
-	}
-	if err != nil {
-		return liveState{}, err
 	}
 	sort.SliceStable(st.items, func(a, b int) bool {
 		if st.items[a].Time != st.items[b].Time {
@@ -153,28 +120,26 @@ func extractLive(ix Index) (liveState, error) {
 // a slot's entries across all chains are its item's full vector (slots
 // recycle only past the horizon, so surviving entries always belong to
 // their slot's current owner).
-func chainVectors(from float64, ps ...postings) (map[uint32]vec.Vector, error) {
+func chainVectors(from float64, p postings) (map[uint32]vec.Vector, error) {
 	type build struct {
 		dims []uint32
 		vals []float64
 	}
 	builds := map[uint32]*build{}
-	for _, p := range ps {
-		ar := p.ar
-		for d, ch := range p.lists {
-			ar.ascend(ch, func(ai int) {
-				if ar.t[ai] < from {
-					return
-				}
-				bu := builds[ar.slot[ai]]
-				if bu == nil {
-					bu = &build{}
-					builds[ar.slot[ai]] = bu
-				}
-				bu.dims = append(bu.dims, d)
-				bu.vals = append(bu.vals, ar.val[ai])
-			})
-		}
+	ar := p.ar
+	for d, ch := range p.lists {
+		ar.ascend(ch, func(ai int) {
+			if ar.t[ai] < from {
+				return
+			}
+			bu := builds[ar.slot[ai]]
+			if bu == nil {
+				bu = &build{}
+				builds[ar.slot[ai]] = bu
+			}
+			bu.dims = append(bu.dims, d)
+			bu.vals = append(bu.vals, ar.val[ai])
+		})
 	}
 	out := make(map[uint32]vec.Vector, len(builds))
 	for sl, bu := range builds {
@@ -195,23 +160,17 @@ func clockOf(ix Index) (now float64, begun bool, clock sweepClock, ok bool) {
 		return v.now, v.begun, v.clock, true
 	case *invIndex:
 		return v.now, v.begun, v.clock, true
-	case *group:
-		return clockOf(v.shards[0])
 	}
 	return 0, false, sweepClock{}, false
 }
 
-// setClock stamps an engine's clock state (every shard of a group).
+// setClock stamps an engine's clock state.
 func setClock(ix Index, now float64, begun bool, clock sweepClock) {
 	switch v := ix.(type) {
 	case *engine:
 		v.now, v.begun, v.clock = now, begun, clock
 	case *invIndex:
 		v.now, v.begun, v.clock = now, begun, clock
-	case *group:
-		for _, s := range v.shards {
-			setClock(s, now, begun, clock)
-		}
 	}
 }
 

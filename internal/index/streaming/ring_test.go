@@ -12,11 +12,10 @@ import (
 )
 
 // This file preserves the pre-arena posting storage — one circular
-// buffer per dimension, map-keyed accumulators — as a frozen reference
-// implementation. New never returns these types; the parity and fuzz
-// tests feed identical streams to a ring-backed and an arena-backed
-// index and require bit-identical matches and identical SizeInfo
-// accounting. Keeping the oracle verbatim (rather than sharing code
+// buffer per dimension, map-keyed accumulators — as a frozen,
+// test-only reference implementation. The parity and fuzz tests feed
+// identical streams to a ring-backed and an arena-backed index and
+// require bit-identical matches and identical SizeInfo accounting. Keeping the oracle verbatim (rather than sharing code
 // with the arena engines) is deliberate: a bug in shared plumbing would
 // cancel out of the comparison, a bug in either storage layer cannot.
 

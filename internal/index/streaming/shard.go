@@ -73,8 +73,7 @@ import (
 // suffices for discovery.
 //
 // Routing requirements (Route states them as code; internal/cluster
-// and the in-process group both obey them, and they are what makes the
-// worker's statistics sound):
+// obeys them, and they are what makes the worker's statistics sound):
 //
 //   - INV and L2 workers may receive only the items that have at least
 //     one owned dimension. INV has no global statistics, and the L2
@@ -93,9 +92,9 @@ import (
 // is counted by every worker, and IndexedEntries counts the indexing
 // walk (icCore increments per boundary-crossing coordinate) even when
 // the push hook filters the entry to another worker's dimension. The
-// cluster coordinator and the in-process group override the
-// stream-level counters (items, pairs, late) with their own and report
-// the work counters as per-worker sums.
+// cluster coordinator overrides the stream-level counters (items,
+// pairs, late) with its own and reports the work counters as per-worker
+// sums.
 
 // boundSlack is subtracted from θ by every shard-local rejection, so a
 // float rounding difference between a worker's and the sequential

@@ -62,7 +62,7 @@ func runCounted(t *testing.T, kind Kind, p apss.Params, opts Options, items []st
 	t.Helper()
 	var c metrics.Counters
 	opts.Counters = &c
-	return runKind(t, kind, p, opts, items), c
+	return runKind(t, kind, p, opts, 0, items), c
 }
 
 // TestShardClusterParity: for every kind, an n-worker group of shard
@@ -79,7 +79,7 @@ func TestShardClusterParity(t *testing.T) {
 		} {
 			for seed := int64(0); seed < 3; seed++ {
 				items := fuzzItems(seed, 350)
-				want := runKind(t, kind, p, Options{}, items)
+				want := runKind(t, kind, p, Options{}, 0, items)
 				for _, n := range []int{1, 2, 3, 4} {
 					t.Run(fmt.Sprintf("%v/theta=%g/lambda=%g/seed=%d/n=%d", kind, p.Theta, p.Lambda, seed, n), func(t *testing.T) {
 						got, dups := runShardCluster(t, kind, p, n, false, items)
@@ -119,7 +119,7 @@ func TestShardForeignParity(t *testing.T) {
 				items[i].Side = apss.SideB
 			}
 		}
-		want := runKind(t, kind, p, Options{Foreign: true}, items)
+		want := runKind(t, kind, p, Options{Foreign: true}, 0, items)
 		if len(want) == 0 {
 			t.Fatalf("%v: foreign oracle vacuous", kind)
 		}
@@ -196,7 +196,6 @@ func TestShardOptionValidation(t *testing.T) {
 		{Shard: Shard{ID: 2, N: 2}},
 		{Shard: Shard{ID: -1, N: 2}},
 		{Shard: Shard{ID: 1, N: 0}},
-		{Shard: Shard{ID: 0, N: 2}, Workers: 4},
 		{Shard: Shard{ID: 0, N: 2}, Ablations: Ablations{NoRemscore: true}},
 		{Shard: Shard{ID: 0, N: 2}, Order: WarmupOrder{Strategy: dimorder.DocFreqAsc, Items: 4}},
 	} {

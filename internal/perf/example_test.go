@@ -10,7 +10,7 @@ import (
 // report fabricates a deterministic report for the examples.
 func report(name string, itemsPerSec float64, pairs int64) perf.Report {
 	return perf.Report{
-		Scenario: perf.Scenario{Name: name, Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01, Workers: 1},
+		Scenario: perf.Scenario{Name: name, Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01},
 		Items:    1000, Pairs: pairs, ElapsedSec: 1, Completed: true,
 		ItemsPerSec: itemsPerSec, PairsPerSec: float64(pairs),
 		Latency: perf.LatencySummary{P50: 1e4, P90: 3e4, P99: 9e4, Mean: 1.5e4, Max: 2e5, Count: 1000},

@@ -3,8 +3,8 @@
 // stand on. It defines
 //
 //   - a scenario registry — datagen profile × framework {STR, MB} ×
-//     index {INV, L2, L2AP} × θ × worker shards — so successive runs
-//     measure the same named workloads;
+//     index {INV, L2, L2AP} × θ — so successive runs measure the same
+//     named workloads;
 //   - a Report per scenario: throughput (items/s, pairs/s), per-item
 //     process-latency quantiles (p50/p90/p99 from the fixed-bucket
 //     histogram in internal/metrics), heap-allocation stats, end-of-run
@@ -46,7 +46,6 @@ type Scenario struct {
 	Index     string  `json:"index"`     // INV, L2, or L2AP (AP is MB-only, as in §7)
 	Theta     float64 `json:"theta"`
 	Lambda    float64 `json:"lambda"`
-	Workers   int     `json:"workers"` // STR shard count; ≤ 1 = sequential
 	// Join is "foreign" for the two-stream foreign join (the stream's
 	// items are tagged with alternating sides; see harness.RunOpts) and
 	// empty or "self" for the paper's self-join.
@@ -81,14 +80,11 @@ type Scenario struct {
 // foreign reports whether the scenario measures the foreign join.
 func (s Scenario) foreign() bool { return s.Join == "foreign" }
 
-// label renders the canonical scenario name, e.g. "RCV1/STR-L2/t0.70/w4"
-// ("…/w4/foreign" for foreign-join scenarios).
+// label renders the canonical scenario name, e.g. "RCV1/STR-L2/t0.70/w1"
+// ("…/w1/foreign" for foreign-join scenarios). The constant "/w1"
+// segment keeps the names of older baselines, which had a worker count.
 func (s Scenario) label() string {
-	w := s.Workers
-	if w < 1 {
-		w = 1
-	}
-	name := fmt.Sprintf("%s/%s-%s/t%.2f/w%d", s.Profile, s.Framework, s.Index, s.Theta, w)
+	name := fmt.Sprintf("%s/%s-%s/t%.2f/w1", s.Profile, s.Framework, s.Index, s.Theta)
 	if s.foreign() {
 		name += "/foreign"
 	}
@@ -117,14 +113,13 @@ func (s Scenario) named() Scenario {
 
 // DefaultScenarios is the standing benchmark matrix: on a dense-ish
 // (RCV1) and a sparse bursty (Tweets) stream shape, the three STR
-// indexes, the 4-shard in-process group, and MB-L2 as the
-// framework baseline — plus a θ sweep on the recommended STR-L2 to
-// track threshold sensitivity, a 4-scenario foreign-join (A ⋈ B)
-// cross-section, a 2-scenario bounded-lateness (reorder stage)
+// indexes and MB-L2 as the framework baseline — plus a θ sweep on the
+// recommended STR-L2 to track threshold sensitivity, a 3-scenario
+// foreign-join (A ⋈ B) cross-section, a 2-scenario bounded-lateness (reorder stage)
 // cross-section, a 2-scenario cluster-tier (coordinator + loopback
 // worker servers) cross-section, a multi-tenant (4-session server)
 // scenario, and a 2-scenario self-tuning (auto-selector + online
-// re-ranking) cross-section. 23 scenarios; at the default scale the
+// re-ranking) cross-section. 20 scenarios; at the default scale the
 // whole matrix runs in well under a minute. Scenarios not yet present
 // in a committed baseline are reported as informational by Compare
 // until the baseline is refreshed.
@@ -133,11 +128,10 @@ func DefaultScenarios() []Scenario {
 	var out []Scenario
 	for _, prof := range []string{"RCV1", "Tweets"} {
 		for _, sc := range []Scenario{
-			{Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7, Workers: 1},
-			{Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7, Workers: 4},
-			{Framework: harness.FrameworkSTR, Index: "INV", Theta: 0.7, Workers: 1},
-			{Framework: harness.FrameworkSTR, Index: "L2AP", Theta: 0.7, Workers: 1},
-			{Framework: harness.FrameworkMB, Index: "L2", Theta: 0.7, Workers: 1},
+			{Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7},
+			{Framework: harness.FrameworkSTR, Index: "INV", Theta: 0.7},
+			{Framework: harness.FrameworkSTR, Index: "L2AP", Theta: 0.7},
+			{Framework: harness.FrameworkMB, Index: "L2", Theta: 0.7},
 		} {
 			sc.Profile, sc.Lambda = prof, lambda
 			out = append(out, sc.named())
@@ -146,19 +140,18 @@ func DefaultScenarios() []Scenario {
 	for _, theta := range []float64{0.5, 0.9} {
 		sc := Scenario{
 			Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-			Theta: theta, Lambda: lambda, Workers: 1,
+			Theta: theta, Lambda: lambda,
 		}
 		out = append(out, sc.named())
 	}
 	// The foreign-join (A ⋈ B) cross-section: the recommended STR-L2 on
-	// both stream shapes, its sharded variant, and the MB framework
-	// baseline — enough to track the new path's throughput, its parallel
-	// scaling, and the cross-framework gap without doubling the matrix.
+	// both stream shapes and the MB framework baseline — enough to track
+	// the path's throughput and the cross-framework gap without doubling
+	// the matrix.
 	for _, sc := range []Scenario{
-		{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7, Workers: 1},
-		{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7, Workers: 4},
-		{Profile: "Tweets", Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7, Workers: 1},
-		{Profile: "RCV1", Framework: harness.FrameworkMB, Index: "L2", Theta: 0.7, Workers: 1},
+		{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7},
+		{Profile: "Tweets", Framework: harness.FrameworkSTR, Index: "L2", Theta: 0.7},
+		{Profile: "RCV1", Framework: harness.FrameworkMB, Index: "L2", Theta: 0.7},
 	} {
 		sc.Lambda, sc.Join = lambda, "foreign"
 		out = append(out, sc.named())
@@ -170,7 +163,7 @@ func DefaultScenarios() []Scenario {
 	for _, delta := range []float64{0, 1000} {
 		sc := Scenario{
 			Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-			Theta: 0.7, Lambda: lambda, Workers: 1, Reorder: true, Lateness: delta,
+			Theta: 0.7, Lambda: lambda, Reorder: true, Lateness: delta,
 		}
 		out = append(out, sc.named())
 	}
@@ -182,7 +175,7 @@ func DefaultScenarios() []Scenario {
 	for _, join := range []string{"", "foreign"} {
 		sc := Scenario{
 			Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-			Theta: 0.7, Lambda: lambda, Workers: 1, Join: join, Cluster: 2,
+			Theta: 0.7, Lambda: lambda, Join: join, Cluster: 2,
 		}
 		out = append(out, sc.named())
 	}
@@ -192,7 +185,7 @@ func DefaultScenarios() []Scenario {
 	// plain w1 scenario. Informational until the baseline is refreshed.
 	out = append(out, Scenario{
 		Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-		Theta: 0.7, Lambda: lambda, Workers: 1, Sessions: 4,
+		Theta: 0.7, Lambda: lambda, Sessions: 4,
 	}.named())
 	// The self-tuning cross-section: the auto-selector (with online
 	// docfreq re-ranking) on both stream shapes, against the static
@@ -201,7 +194,7 @@ func DefaultScenarios() []Scenario {
 	for _, prof := range []string{"RCV1", "Tweets"} {
 		out = append(out, Scenario{
 			Profile: prof, Framework: harness.FrameworkSTR, Index: "AUTO",
-			Theta: 0.7, Lambda: lambda, Workers: 1, Adaptive: true,
+			Theta: 0.7, Lambda: lambda, Adaptive: true,
 		}.named())
 	}
 	return out
@@ -309,7 +302,7 @@ func runOnce(s Scenario, cfg RunConfig, items []stream.Item) (Report, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res := harness.RunOneOpts(items, s.Profile, s.Framework, s.Index, p,
-		harness.RunOpts{Workers: s.Workers, Budget: cfg.Budget, Latency: lat, Foreign: s.foreign(),
+		harness.RunOpts{Budget: cfg.Budget, Latency: lat, Foreign: s.foreign(),
 			Reorder: s.Reorder, Lateness: s.Lateness, Cluster: s.Cluster, Sessions: s.Sessions,
 			Adapt: adapt})
 	runtime.ReadMemStats(&after)

@@ -22,7 +22,7 @@ func sampleFile() *File {
 		Scale: 0.25, Seed: 1, BudgetSec: 10,
 		Reports: []Report{
 			{
-				Scenario: Scenario{Name: "RCV1/STR-L2/t0.70/w1", Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01, Workers: 1},
+				Scenario: Scenario{Name: "RCV1/STR-L2/t0.70/w1", Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01},
 				Items:    1000, Pairs: 42, ElapsedSec: 0.5, Completed: true,
 				ItemsPerSec: 2000, PairsPerSec: 84,
 				Latency:  LatencySummary{P50: 1e4, P90: 3e4, P99: 9e4, Mean: 1.5e4, Max: 2e5, Count: 1000},
@@ -31,7 +31,7 @@ func sampleFile() *File {
 				Counters: metrics.Counters{Items: 1000, EntriesTraversed: 12345, Pairs: 42},
 			},
 			{
-				Scenario: Scenario{Name: "RCV1/MB-L2/t0.70/w1", Profile: "RCV1", Framework: "MB", Index: "L2", Theta: 0.7, Lambda: 0.01, Workers: 1},
+				Scenario: Scenario{Name: "RCV1/MB-L2/t0.70/w1", Profile: "RCV1", Framework: "MB", Index: "L2", Theta: 0.7, Lambda: 0.01},
 				Items:    1000, Pairs: 42, ElapsedSec: 0.8, Completed: true, ItemsPerSec: 1250,
 			},
 		},
@@ -65,7 +65,7 @@ func TestFileSchemaFieldNames(t *testing.T) {
 		`"schema": "sssj-bench"`, `"schema_version": 1`,
 		`"items_per_sec"`, `"pairs_per_sec"`, `"latency_ns"`, `"p99"`,
 		`"bytes_per_item"`, `"posting_entries"`, `"entries_traversed"`,
-		`"scenario"`, `"workers"`,
+		`"scenario"`,
 	} {
 		if !strings.Contains(buf.String(), key) {
 			t.Errorf("serialized file lacks schema field %s", key)
@@ -125,7 +125,7 @@ func TestFromResult(t *testing.T) {
 	res.Stats.Items = 500
 	res.Stats.EntriesTraversed = 999
 	res.IndexSize.PostingEntries = 77
-	s := Scenario{Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01, Workers: 1}
+	s := Scenario{Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01}
 	r := FromResult(s, res, lat, 2048, 100)
 
 	if r.Scenario.Name != "RCV1/STR-L2/t0.70/w1" {
@@ -151,7 +151,7 @@ func TestFromResult(t *testing.T) {
 func TestRunScenarioSmoke(t *testing.T) {
 	// One tiny real run end to end: the report must have consistent,
 	// non-degenerate measurements.
-	s := Scenario{Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01, Workers: 1}
+	s := Scenario{Profile: "RCV1", Framework: "STR", Index: "L2", Theta: 0.7, Lambda: 0.01}
 	r, err := RunScenario(s, RunConfig{Scale: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatalf("RunScenario: %v", err)
@@ -209,8 +209,8 @@ func TestDefaultScenarios(t *testing.T) {
 		}
 		names[s.Name] = true
 	}
-	if got := len(FilterByProfile(scs, "RCV1")); got != 16 {
-		t.Errorf("FilterByProfile(RCV1) = %d scenarios, want 16", got)
+	if got := len(FilterByProfile(scs, "RCV1")); got != 14 {
+		t.Errorf("FilterByProfile(RCV1) = %d scenarios, want 14", got)
 	}
 	if got := len(FilterByProfile(scs, "")); got != len(scs) {
 		t.Errorf("empty filter dropped scenarios")
@@ -227,8 +227,8 @@ func TestDefaultScenarios(t *testing.T) {
 			}
 		}
 	}
-	if foreignN != 5 {
-		t.Errorf("matrix has %d foreign scenarios, want 5", foreignN)
+	if foreignN != 4 {
+		t.Errorf("matrix has %d foreign scenarios, want 4", foreignN)
 	}
 	// Likewise the bounded-lateness cross-section, tagged /lat<δ>.
 	reorderN := 0
@@ -289,7 +289,7 @@ func TestDefaultScenarios(t *testing.T) {
 // tenants, and Sessions is STR-only.
 func TestRunSessionsScenario(t *testing.T) {
 	mt := Scenario{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-		Theta: 0.7, Lambda: 0.01, Workers: 1, Sessions: 4}
+		Theta: 0.7, Lambda: 0.01, Sessions: 4}
 	cfg := RunConfig{Scale: 0.05, Repeats: 1}
 	r, err := RunScenario(mt, cfg)
 	if err != nil {
@@ -314,7 +314,7 @@ func TestRunSessionsScenario(t *testing.T) {
 // and Adaptive is plain-STR-only.
 func TestRunAdaptScenario(t *testing.T) {
 	ad := Scenario{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "AUTO",
-		Theta: 0.7, Lambda: 0.01, Workers: 1, Adaptive: true}
+		Theta: 0.7, Lambda: 0.01, Adaptive: true}
 	cfg := RunConfig{Scale: 0.05, Repeats: 1}
 	r, err := RunScenario(ad, cfg)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestRunAdaptScenario(t *testing.T) {
 // on the same stream; Lateness without Reorder is rejected.
 func TestRunReorderScenario(t *testing.T) {
 	plain := Scenario{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-		Theta: 0.5, Lambda: 0.01, Workers: 1}
+		Theta: 0.5, Lambda: 0.01}
 	reorder := plain
 	reorder.Reorder, reorder.Lateness = true, 500
 	cfg := RunConfig{Scale: 0.05, Repeats: 1}
@@ -376,7 +376,7 @@ func TestRunReorderScenario(t *testing.T) {
 // stream (the gate must actually remove same-side pairs).
 func TestRunForeignScenario(t *testing.T) {
 	self := Scenario{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-		Theta: 0.5, Lambda: 0.01, Workers: 1}
+		Theta: 0.5, Lambda: 0.01}
 	foreign := self
 	foreign.Join = "foreign"
 	cfg := RunConfig{Scale: 0.02, Seed: 3, Repeats: 1}
@@ -402,7 +402,7 @@ func TestRunForeignScenario(t *testing.T) {
 // verified through the perf path end to end.
 func TestRunClusterScenario(t *testing.T) {
 	plain := Scenario{Profile: "RCV1", Framework: harness.FrameworkSTR, Index: "L2",
-		Theta: 0.5, Lambda: 0.01, Workers: 1}
+		Theta: 0.5, Lambda: 0.01}
 	clustered := plain
 	clustered.Cluster = 2
 	cfg := RunConfig{Scale: 0.05, Seed: 2, Repeats: 1}

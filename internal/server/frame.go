@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 
 	"sssj/internal/apss"
 	"sssj/internal/stream"
@@ -146,7 +145,7 @@ func (st *connState) serveFrame(r *bufio.Reader) (closeConn bool) {
 		req.side, err = st.sess.putSide(string(sideByte))
 	}
 	if err == nil && !req.stampNow {
-		err = finiteTime(t)
+		err = stream.FiniteTime(t)
 	}
 	if err != nil {
 		if _, derr := r.Discard(int(nnz) * stream.CoordSize); derr != nil {
@@ -225,14 +224,6 @@ func (st *connState) frameText(tag byte, s string) {
 	b := append(st.w.AvailableBuffer(), tag)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
 	st.w.Write(append(b, s...))
-}
-
-// finiteTime rejects the timestamps no stream clock can order.
-func finiteTime(t float64) error {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("bad timestamp %q", strconv.FormatFloat(t, 'g', -1, 64))
-	}
-	return nil
 }
 
 // item sends one item frame and collects its reply. Add, AddNow and Put

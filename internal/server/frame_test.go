@@ -338,6 +338,40 @@ func TestFrameRejections(t *testing.T) {
 	}
 }
 
+// TestNonFiniteTimesRejected: ADV, WM and ADOPT refuse NaN and ±Inf as
+// ADD does, and the session takes the next finite item. An accepted
+// +Inf would expire the whole window and refuse every later item as
+// out of order. The refused ADOPT still consumes its counters line and
+// payload, so the connection stays line-aligned.
+func TestNonFiniteTimesRejected(t *testing.T) {
+	s := startServer(t, Config{})
+	txt := dialText(t, s)
+	txt.conn.SetDeadline(time.Now().Add(10 * time.Second)) // an accepted ADOPT would wait for its payload
+	for _, step := range []struct{ line, want string }{
+		{"ADD 1 3:1", "OK 0"},
+		{"ADV +Inf", `ERR bad timestamp "+Inf"`},
+		{"ADV NaN", `ERR bad timestamp "NaN"`},
+		{"ADV -Inf", `ERR bad timestamp "-Inf"`},
+		{"ADD 2 3:1", "OK 1"},
+		// A whole MIGRATE message: header, counters line and a 5-byte
+		// payload that reads as a command if the refusal skips it.
+		{"ADOPT moved 0 +Inf 1 5\n{}\nPING", `ERR bad lastT "+Inf"`},
+		{"ADD 3 3:1", "OK 2"},
+		{"SESSION late theta=0.5 lambda=0.1 lateness=2", "SESSION late"},
+		{"WM +Inf", `ERR bad timestamp "+Inf"`},
+		{"WM NaN", `ERR bad timestamp "NaN"`},
+		{"ADD 4 3:1", "OK 0"},
+		{"WM 10", "WM 8"},
+	} {
+		if _, final := txt.do(step.line); final != step.want {
+			t.Fatalf("%q answered %q, want %q", step.line, final, step.want)
+		}
+	}
+	if ms, final := txt.do("ADD 2.5 3:1"); !strings.HasPrefix(final, "ERR") || len(ms) != 0 {
+		t.Fatalf("item behind the finite watermark: %v %q", ms, final)
+	}
+}
+
 // TestLineTooLong: both ends bound the text lines they read. The server
 // answers an oversized line with a typed ERR without buffering it and
 // stays aligned on the next one; the client returns ErrLineTooLong.

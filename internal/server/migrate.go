@@ -130,16 +130,8 @@ func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
 		return
 	}
 	name := fields[0]
-	nextID, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		fmt.Fprintf(w, "ERR bad nextID %q\n", fields[1])
-		return
-	}
-	lastT, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil {
-		fmt.Fprintf(w, "ERR bad lastT %q\n", fields[2])
-		return
-	}
+	nextID, idErr := strconv.ParseUint(fields[1], 10, 64)
+	lastT, tErr := parseTime(fields[2])
 	begun := fields[3] == "1"
 	nbytes, err := strconv.ParseInt(fields[4], 10, 64)
 	if err != nil || nbytes < 0 {
@@ -166,6 +158,14 @@ func (s *Server) cmdAdopt(r *bufio.Reader, w *bufio.Writer, rest string) {
 	var payload bytes.Buffer
 	if _, err := io.CopyN(&payload, r, nbytes); err != nil {
 		fmt.Fprintln(w, "ERR ADOPT: short payload")
+		return
+	}
+	if idErr != nil {
+		fmt.Fprintf(w, "ERR bad nextID %q\n", fields[1])
+		return
+	}
+	if tErr != nil {
+		fmt.Fprintf(w, "ERR bad lastT %q\n", fields[2])
 		return
 	}
 	if optsErr != nil {

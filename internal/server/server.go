@@ -149,6 +149,7 @@ import (
 	"sssj/internal/core"
 	"sssj/internal/index/streaming"
 	"sssj/internal/metrics"
+	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
 
@@ -520,9 +521,9 @@ func (s *Server) dispatch(r *bufio.Reader, line string, st *connState) (quit boo
 			fmt.Fprintln(w, "ERR ADV requires a strict-order session (lateness 0); use WM")
 			return false
 		}
-		t, err := strconv.ParseFloat(rest, 64)
+		t, err := parseTime(rest)
 		if err != nil {
-			fmt.Fprintf(w, "ERR bad timestamp %q\n", rest)
+			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
 		st.cmdAdv(t)
@@ -546,9 +547,9 @@ func (s *Server) dispatch(r *bufio.Reader, line string, st *connState) (quit boo
 			fmt.Fprintln(w, "ERR WM requires a bounded-lateness session (lateness > 0)")
 			return false
 		}
-		t, err := strconv.ParseFloat(rest, 64)
+		t, err := parseTime(rest)
 		if err != nil {
-			fmt.Fprintf(w, "ERR bad timestamp %q\n", rest)
+			fmt.Fprintf(w, "ERR %v\n", err)
 			return false
 		}
 		st.cmdWM(t)
@@ -760,7 +761,7 @@ func parseTime(tok string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad timestamp %q", tok)
 	}
-	return t, finiteTime(t)
+	return t, stream.FiniteTime(t)
 }
 
 // parseCoords parses "dim:val" fields into a vector — normalized for

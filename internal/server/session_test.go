@@ -143,7 +143,7 @@ type gateJoiner struct {
 
 func (g *gateJoiner) Add(it stream.Item) ([]apss.Match, error) {
 	select {
-	case g.entered <- struct{}{}: // signal the first arrival; later ones pass
+	case g.entered <- struct{}{}: // signal the first arrival (buffered: the test may not be waiting yet); later ones pass
 	default:
 	}
 	<-g.gate
@@ -157,7 +157,7 @@ func (g *gateJoiner) Add(it stream.Item) ([]apss.Match, error) {
 // once the queue drains. Everything is deadline-based; nothing sleeps
 // for correctness.
 func TestBackpressureContract(t *testing.T) {
-	gate := &gateJoiner{entered: make(chan struct{}), gate: make(chan struct{})}
+	gate := &gateJoiner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	cfg := Config{
 		NewSessionJoiner: func(name string, opts SessionOptions, c *metrics.Counters) (core.Joiner, error) {
 			j, err := core.NewSTRFull(kindFor(opts.Index), apss.Params{Theta: opts.Theta, Lambda: opts.Lambda},

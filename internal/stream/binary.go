@@ -150,6 +150,9 @@ func (br *BinaryReader) Next() (Item, error) {
 		return Item{}, err
 	}
 	ts, nnz := RecordHeader(head[:])
+	if err := FiniteTime(ts); err != nil {
+		return Item{}, fmt.Errorf("stream: record %d: %w", br.nextID, err)
+	}
 	if nnz > maxBinaryNNZ {
 		return Item{}, fmt.Errorf("stream: record nnz %d exceeds limit", nnz)
 	}

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"sssj/internal/apss"
 	"sssj/internal/vec"
@@ -131,4 +133,14 @@ func ComputeStats(items []Item) Stats {
 		}
 	}
 	return st
+}
+
+// FiniteTime rejects the timestamps no stream clock can order: NaN and
+// ±Inf, which strconv.ParseFloat accepts and a binary record can carry.
+// Every reader of outside input checks it, so a stream never holds one.
+func FiniteTime(t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("bad timestamp %q", strconv.FormatFloat(t, 'g', -1, 64))
+	}
+	return nil
 }

@@ -64,6 +64,9 @@ func (tr *TextReader) parseLine(text string) (Item, error) {
 	if err != nil {
 		return Item{}, fmt.Errorf("bad timestamp %q: %w", fields[0], err)
 	}
+	if err := FiniteTime(ts); err != nil {
+		return Item{}, err
+	}
 	dims := make([]uint32, 0, len(fields)-1)
 	vals := make([]float64, 0, len(fields)-1)
 	for _, f := range fields[1:] {

@@ -13,23 +13,22 @@ import (
 
 // These tests pin the vectorized verification kernels (kernelv.go) to
 // the frozen scalar kernels (kernel_scalar.go) across every deployment
-// shape the library offers: worker counts, cluster shards, self vs
-// foreign joins, and bounded disorder. "Parity" here is the strong
+// shape the library offers: the sequential engine, cluster shards, self
+// vs foreign joins, and bounded disorder. "Parity" here is the strong
 // form the kernel files promise — bit-identical match sets at eps 0
 // AND identical pruning Counters, so the time-threshold tiers and the
 // per-slot decay cache are provably shortcuts, never a behavior change.
 
 // kernelDeploy names one deployment shape of the streaming index.
 type kernelDeploy struct {
-	name    string
-	workers int  // Workers passed to streaming.New (shards == 0)
-	shards  int  // cluster-worker group size (0 = in-process)
-	lone    bool // run only the group's last worker, fed every item
+	name   string
+	shards int  // cluster-worker group size (0 = the sequential engine)
+	lone   bool // run only the group's last worker, fed every item
 }
 
 var kernelDeploys = []kernelDeploy{
-	{name: "w1", workers: 0},
-	{name: "w4", workers: 4},
+	{name: "w1"},
+	{name: "w4", shards: 4},
 	{name: "s1", shards: 2, lone: true},
 	{name: "s2", shards: 2},
 }
@@ -80,7 +79,7 @@ func runKernel(t testing.TB, kind streaming.Kind, p apss.Params, kernel apss.Ker
 		}
 	} else {
 		ix, err := streaming.New(kind, p, streaming.Options{
-			Workers: d.workers, Foreign: foreign, Kernel: kernel, Ablations: ab, Counters: &c,
+			Foreign: foreign, Kernel: kernel, Ablations: ab, Counters: &c,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -154,10 +153,10 @@ func TestKernelParityGrid(t *testing.T) {
 // kernelCkptRun runs the first half of items under one kernel, saves
 // the index, reloads it under (possibly) the other kernel, runs the
 // second half, and returns the continuation's matches and counters.
-func kernelCkptRun(t *testing.T, kind streaming.Kind, p apss.Params, workers int, foreign, scalarBefore, scalarAfter bool, items []Item, half int) ([]apss.Match, metrics.Counters) {
+func kernelCkptRun(t *testing.T, kind streaming.Kind, p apss.Params, foreign, scalarBefore, scalarAfter bool, items []Item, half int) ([]apss.Match, metrics.Counters) {
 	t.Helper()
 	opts := streaming.Options{
-		Workers: workers, Foreign: foreign,
+		Foreign:   foreign,
 		Ablations: streaming.Ablations{ScalarKernel: scalarBefore},
 		Counters:  &metrics.Counters{},
 	}
@@ -197,7 +196,10 @@ func kernelCkptRun(t *testing.T, kind streaming.Kind, p apss.Params, workers int
 // a snapshot written by either kernel loads into either kernel with no
 // format change, the rebuilt state steers the continuation to the exact
 // matches of an uncheckpointed scalar run, and all four before×after
-// kernel pairs agree on the continuation's Counters.
+// kernel pairs agree on the continuation's Counters. In the w4 cells the
+// uncheckpointed reference runs on four routed cluster workers (a
+// sharded engine cannot be checkpointed), so the continuation is also
+// held to the sharded deployment's output.
 func TestKernelParityCheckpoint(t *testing.T) {
 	p := apss.Params{Theta: 0.6, Lambda: 0.1}
 	base := fuzzForeignItems(5, 200)
@@ -219,27 +221,22 @@ func TestKernelParityCheckpoint(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					// Reference: uncheckpointed scalar run; keep only the
 					// matches the second half of the stream emits.
-					ix, err := streaming.New(kind, p, streaming.Options{
-						Workers: workers, Foreign: foreign,
-						Ablations: streaming.Ablations{ScalarKernel: true},
-					})
-					if err != nil {
-						t.Fatal(err)
+					d := kernelDeploy{shards: workers}
+					all, _ := runKernel(t, kind, p, nil, d, foreign, true, 0, items)
+					late := make(map[uint64]bool, len(items)-half)
+					for _, it := range items[half:] {
+						late[it.ID] = true
 					}
 					var want []apss.Match
-					for i, it := range items {
-						ms, err := ix.Add(it)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if i >= half {
-							want = append(want, ms...)
+					for _, m := range all {
+						if late[m.X] {
+							want = append(want, m)
 						}
 					}
 					var refC *metrics.Counters
 					for _, before := range []bool{true, false} {
 						for _, after := range []bool{true, false} {
-							got, c := kernelCkptRun(t, kind, p, workers, foreign, before, after, items, half)
+							got, c := kernelCkptRun(t, kind, p, foreign, before, after, items, half)
 							if !apss.EqualMatchSets(got, want, 0) {
 								onlyG, onlyW := apss.DiffMatchSets(got, want)
 								t.Fatalf("save=%v load=%v: continuation ≠ scalar run: %d vs %d matches (only-ckpt %v, only-ref %v)",

@@ -17,15 +17,15 @@ import (
 // notice. The grid test pins the claim across every engine; the fuzz
 // target keeps hunting for configurations that break it.
 
-// reorderGrid is the parity grid: {STR, MB} × {INV, L2, L2AP} ×
-// workers {1, 4} (STR only).
-func reorderGrid() []Options {
-	var out []Options
+// reorderGrid is the parity grid: {STR, MB} × {INV, L2, L2AP}, STR on
+// the sequential engine and on a 4-worker cluster.
+func reorderGrid() []deployCell {
+	var out []deployCell
 	for _, ix := range []IndexKind{IndexINV, IndexL2, IndexL2AP} {
 		for _, w := range []int{1, 4} {
-			out = append(out, Options{Theta: 0.5, Lambda: 0.05, Framework: Streaming, Index: ix, Workers: w})
+			out = append(out, deployCell{Options{Theta: 0.5, Lambda: 0.05, Framework: Streaming, Index: ix}, w})
 		}
-		out = append(out, Options{Theta: 0.5, Lambda: 0.05, Framework: MiniBatch, Index: ix})
+		out = append(out, deployCell{Options{Theta: 0.5, Lambda: 0.05, Framework: MiniBatch, Index: ix}, 0})
 	}
 	return out
 }
@@ -48,22 +48,15 @@ func TestReorderParityOracle(t *testing.T) {
 		if !disordered {
 			t.Fatalf("δ=%v: shuffle left the stream sorted; oracle vacuous", delta)
 		}
-		for _, opts := range reorderGrid() {
-			name := fmt.Sprintf("d%v-%v-%v-w%d", delta, opts.Framework, opts.Index, opts.Workers)
-			t.Run(name, func(t *testing.T) {
-				want, err := SelfJoin(opts, items)
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, cell := range reorderGrid() {
+			t.Run(fmt.Sprintf("d%v-%s", delta, cell.name()), func(t *testing.T) {
+				want := joinOn(t, cell.opts, cell.workers, items)
 				if len(want) == 0 {
 					t.Fatal("no matches; parity test vacuous")
 				}
-				lateOpts := opts
+				lateOpts := cell.opts
 				lateOpts.Lateness = delta
-				got, err := SelfJoin(lateOpts, shuffled)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := joinOn(t, lateOpts, cell.workers, shuffled)
 				if !apss.EqualMatchSets(got, want, 0) {
 					onlyG, onlyW := apss.DiffMatchSets(got, want)
 					t.Fatalf("shuffled ≠ sorted: %d vs %d matches (only-shuffled %v, only-sorted %v)",
@@ -131,7 +124,7 @@ func FuzzReorderParity(f *testing.F) {
 		}
 		theta := []float64{0.5, 0.7, 0.9}[int(thetaSel)%3]
 		delta := []float64{0.5, 2, 10, 40}[int(deltaSel)%4]
-		opts := Options{Theta: theta, Lambda: 0.1}
+		opts, workers := Options{Theta: theta, Lambda: 0.1}, 1
 		switch cfg % 6 {
 		case 0:
 			opts.Index = IndexINV
@@ -141,7 +134,7 @@ func FuzzReorderParity(f *testing.F) {
 			opts.Index = IndexL2AP
 		case 3:
 			opts.Index = IndexL2
-			opts.Workers = 4
+			workers = 4
 		case 4:
 			opts.Framework = MiniBatch
 			opts.Index = IndexL2
@@ -149,17 +142,11 @@ func FuzzReorderParity(f *testing.F) {
 			opts.Framework = MiniBatch
 			opts.Index = IndexINV
 		}
-		want, err := SelfJoin(opts, items)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := joinOn(t, opts, workers, items)
 		shuffled := stream.ShuffleWithin(items, delta, int64(seed))
 		lateOpts := opts
 		lateOpts.Lateness = delta
-		got, err := SelfJoin(lateOpts, shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := joinOn(t, lateOpts, workers, shuffled)
 		if !apss.EqualMatchSets(got, want, 0) {
 			t.Fatalf("shuffled ≠ sorted: %d vs %d (seed %d cfg %d θ %v δ %v)",
 				len(got), len(want), seed, cfg, theta, delta)

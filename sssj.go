@@ -263,17 +263,6 @@ type Options struct {
 	// warmup closes). The zero value keeps natural order, as in the
 	// paper.
 	DimOrder DimOrder
-	// Workers > 1 runs the cluster tier's worker engines in process: the
-	// dimension space is partitioned across Workers shard engines, each
-	// owning the posting lists of its dimensions and fed every item, and
-	// Process calls them one after another, merging their matches into
-	// the sequential engine's match set. It is slower than the
-	// sequential engine for every index kind (see README, "Parallel
-	// execution"); it exists as the in-process image of a cluster
-	// deployment. Values ≤ 1 (the default) run the paper's sequential
-	// engine. Only the Streaming framework supports Workers > 1;
-	// MiniBatch returns ErrUnsupported.
-	Workers int
 	// K is the neighborhood size of the top-k join (NewTopK); it must be
 	// 0 for every other operator. The NewTopK k parameter is shorthand
 	// for setting this field.
@@ -282,7 +271,7 @@ type Options struct {
 	// join (see JoinMode). Under JoinForeign every processed Item must
 	// carry its Side tag; the ForeignJoiner wrapper and the Foreign*
 	// entry points manage the tagging for you. Supported by both
-	// frameworks, all indexes, Workers, DimOrder, custom kernels, and
+	// frameworks, all indexes, DimOrder, custom kernels, and
 	// Resume; the batch join and the top-k join reject it (BatchJoin's
 	// vector input carries no sides, and a one-sided neighborhood is not
 	// yet defined).
@@ -309,8 +298,8 @@ type Options struct {
 	// Adaptive enables the statistics-free self-tuning extension: an
 	// online dimension re-ranker and/or the engine auto-selector (also
 	// reachable as Index: IndexAuto). Streaming framework with the decay
-	// window and the default kernel only; Workers, the foreign join,
-	// Lateness, and Resume all compose. The zero value disables it. See
+	// window and the default kernel only; the foreign join, Lateness,
+	// and Resume all compose. The zero value disables it. See
 	// the Adaptive type.
 	Adaptive Adaptive
 }
@@ -328,14 +317,13 @@ const (
 	// Size, anchored at the first item, and reports every pair inside a
 	// window with dot ≥ θ when the window closes (Sim is the raw dot; no
 	// decay). Matches are delayed up to one window. Runs on any batch
-	// index kind; Workers > 1 and DimOrder are rejected.
+	// index kind; DimOrder is rejected.
 	WindowTumbling
 	// WindowSliding reports every pair at most Size apart with dot ≥ θ,
 	// fully online (Sim is the raw dot; no decay) — the classic
 	// sliding-window join, realized as the streaming framework over the
 	// hard-window kernel. IndexINV and IndexL2 only (the L2AP m̂λ bound
-	// needs exponential decay); Workers, DimOrder, and the foreign join
-	// all compose.
+	// needs exponential decay); DimOrder and the foreign join compose.
 	WindowSliding
 )
 
@@ -440,27 +428,23 @@ const (
 //	AP             no (§5.2)          yes           yes       no (§5.2)
 //	custom Kernel  INV/L2 any; L2AP   no            no        as STR
 //	               exponential only
-//	Workers > 1    yes                no            no        yes
 //	DimOrder       warmup (STR) /     per window    strategy  no
 //	               needs WarmupItems                only
 //	K              top-k only (>= 1); 0 elsewhere
 //	Join foreign   yes                yes           no        yes
 //	               (top-k: no)
 //	Lateness > 0   yes                yes           no        yes
-//	Window         tumbling: any index, workers 1, no DimOrder, no kernel
-//	               sliding:  INV/L2 under STR; workers, DimOrder, foreign OK
+//	Window         tumbling: any index, no DimOrder, no kernel
+//	               sliding:  INV/L2 under STR; DimOrder, foreign OK
 //	               stream op only (top-k, batch, and resume reject both kinds)
-//	Adaptive /     STR + decay window + default kernel only; workers,
-//	IndexAuto      foreign, Lateness, resume OK; excludes DimOrder (it
+//	Adaptive /     STR + decay window + default kernel only; foreign,
+//	IndexAuto      Lateness, resume OK; excludes DimOrder (it
 //	               subsumes it); top-k and batch reject it
 //
 // Batch ignores Framework, Theta, and Lambda (the threshold is an
 // explicit argument and there is no time); Resume ignores Index, Theta,
 // and Lambda (they come from the checkpoint itself).
 func (o Options) validate(mode opMode) error {
-	if o.Workers < 0 {
-		return fmt.Errorf("%w: Workers must be >= 0, got %d", ErrUnsupported, o.Workers)
-	}
 	switch o.Join {
 	case JoinSelf:
 	case JoinForeign:
@@ -507,13 +491,8 @@ func (o Options) validate(mode opMode) error {
 			if o.Index != IndexINV && o.Index != IndexL2 {
 				return fmt.Errorf("%w: the sliding window runs on IndexINV or IndexL2 (the L2AP m̂λ bound needs exponential decay)", ErrUnsupported)
 			}
-		} else {
-			if o.Workers > 1 {
-				return fmt.Errorf("%w: the tumbling window is a per-window batch join; Workers > 1 is not supported", ErrUnsupported)
-			}
-			if o.DimOrder.Strategy != OrderNone {
-				return fmt.Errorf("%w: the tumbling window does not support DimOrder", ErrUnsupported)
-			}
+		} else if o.DimOrder.Strategy != OrderNone {
+			return fmt.Errorf("%w: the tumbling window does not support DimOrder", ErrUnsupported)
 		}
 	default:
 		return fmt.Errorf("%w: unknown window kind %v", ErrUnsupported, o.Window.Kind)
@@ -551,9 +530,6 @@ func (o Options) validate(mode opMode) error {
 		}
 		if o.Kernel != nil {
 			return fmt.Errorf("%w: the batch join has no time axis, so no decay kernel", ErrUnsupported)
-		}
-		if o.Workers > 1 {
-			return fmt.Errorf("%w: Workers > 1 requires the Streaming framework", ErrUnsupported)
 		}
 		return nil
 	case opResume:
@@ -606,9 +582,6 @@ func (o Options) validate(mode opMode) error {
 		if o.Kernel != nil {
 			return fmt.Errorf("%w: MB supports only exponential decay", ErrUnsupported)
 		}
-		if o.Workers > 1 {
-			return fmt.Errorf("%w: Workers > 1 requires the Streaming framework", ErrUnsupported)
-		}
 	default:
 		return fmt.Errorf("%w: unknown framework %v", ErrUnsupported, o.Framework)
 	}
@@ -625,11 +598,8 @@ func (o Options) validate(mode opMode) error {
 // monotone clock — and the joiner remains usable: the offending item is
 // simply not part of the stream.
 //
-// With Options.Workers > 1 each Process call drives a group of
-// dimension-sharded engines, one after another, preserving the
-// sequential engine's match semantics; with Workers ≤ 1 (the default)
-// it drives the paper's sequential engine. Either way all work happens
-// on the calling goroutine.
+// A Joiner drives the paper's sequential engine on the calling
+// goroutine. To scale out, run the cluster tier (cmd/sssjc).
 type Joiner struct {
 	inner  core.SinkJoiner
 	params Params
@@ -723,7 +693,6 @@ func buildJoiner(opts Options, params Params) (core.SinkJoiner, error) {
 		sopts := streaming.Options{
 			Counters: opts.Stats,
 			Kernel:   opts.Kernel,
-			Workers:  opts.Workers,
 			Foreign:  opts.Join == JoinForeign,
 		}
 		if opts.DimOrder.Strategy != OrderNone {
