@@ -114,7 +114,7 @@ func Resume(r io.Reader, opts Options) (*Joiner, error) {
 			return nil, fmt.Errorf("%w: checkpoint carries Lateness=%v; resume with that value or 0 to inherit it", ErrUnsupported, et.Delta)
 		}
 		restored.Lateness = et.Delta
-		return &Joiner{inner: inner, params: idx.Params(), opts: restored, reo: stream.RestoreReorder(*et)}, nil
+		return newJoiner(inner, idx.Params(), restored, stream.RestoreReorder(*et)), nil
 	}
-	return &Joiner{inner: inner, params: idx.Params(), opts: restored, reo: newReorderFor(restored)}, nil
+	return newJoiner(inner, idx.Params(), restored, newReorderFor(restored)), nil
 }

@@ -37,7 +37,7 @@ func clusterJoiner(t testing.TB, opts Options, n int) *Joiner {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return &Joiner{inner: cl, params: params, opts: opts, reo: newReorderFor(opts)}
+	return newJoiner(cl, params, opts, newReorderFor(opts))
 }
 
 // clusterJoin is SelfJoin on clusterJoiner. A self-join ignores side

@@ -212,12 +212,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	// they are found — no result slices, and a write error stops the
 	// join via the sink contract.
 	total := 0
+	var line []byte
 	sink := func(m sssj.Match) error {
 		total++
 		if *quiet {
 			return nil
 		}
-		_, err := fmt.Fprintf(w, "%d %d %.6f %.6f %.6f\n", m.X, m.Y, m.Sim, m.Dot, m.DT)
+		line = appendMatch(line[:0], m)
+		_, err := w.Write(line)
 		return err
 	}
 	for {
@@ -242,6 +244,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, st.String())
 	}
 	return nil
+}
+
+// appendMatch appends m to b as one output line, "x y sim dot dt" with
+// the floats to six decimals: the bytes fmt writes for
+// "%d %d %.6f %.6f %.6f\n", without its per-call allocations.
+func appendMatch(b []byte, m sssj.Match) []byte {
+	b = strconv.AppendUint(b, m.X, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, m.Y, 10)
+	for _, f := range [...]float64{m.Sim, m.Dot, m.DT} {
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, f, 'f', 6, 64)
+	}
+	return append(b, '\n')
 }
 
 // runClient streams the source through a sssjd session and prints the
@@ -278,13 +294,15 @@ func runClient(addr, session, index string, opts sssj.Options, src sssj.Source, 
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
 	total := 0
+	var line []byte
 	emit := func(ms []sssj.Match) error {
 		total += len(ms)
 		if quiet {
 			return nil
 		}
 		for _, m := range ms {
-			if _, err := fmt.Fprintf(w, "%d %d %.6f %.6f %.6f\n", m.X, m.Y, m.Sim, m.Dot, m.DT); err != nil {
+			line = appendMatch(line[:0], m)
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 		}

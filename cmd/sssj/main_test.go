@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"os"
 	"strings"
@@ -303,6 +306,30 @@ func TestRunWindowModes(t *testing.T) {
 	} {
 		if err := run(args, strings.NewReader(""), &out, &errw); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+}
+
+// TestAppendMatchMatchesFmt: the match writer's bytes are exactly fmt's
+// "%d %d %.6f %.6f %.6f\n", on random matches and on the floats where
+// formatting has special cases.
+func TestAppendMatchMatchesFmt(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var ms []sssj.Match
+	for range 10000 {
+		ms = append(ms, sssj.Match{
+			X: r.Uint64() >> uint(r.Intn(64)), Y: r.Uint64() >> uint(r.Intn(64)),
+			Sim: r.Float64(), Dot: r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20)), DT: r.ExpFloat64() * 100,
+		})
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e300, 5e-324, -5e-324, 0.0000005, 0.0000015, 2.5e-7} {
+		ms = append(ms, sssj.Match{X: math.MaxUint64, Sim: f, Dot: -f, DT: f})
+	}
+	var b []byte
+	for _, m := range ms {
+		b = appendMatch(b[:0], m)
+		if want := fmt.Sprintf("%d %d %.6f %.6f %.6f\n", m.X, m.Y, m.Sim, m.Dot, m.DT); string(b) != want {
+			t.Fatalf("appendMatch(%+v) = %q, fmt %q", m, b, want)
 		}
 	}
 }

@@ -36,10 +36,11 @@ var ErrStop = errors.New("sssj: stop")
 func CollectInto(dst *[]Match) MatchSink { return apss.Collector(dst) }
 
 // ProcessTo feeds the next stream item, pushing each match into sink
-// the moment it is verified — no intermediate slice, no per-item
-// allocation on the hot path. Under STR every match involving the item
-// is emitted during the call; under MB matches are emitted when window
-// boundaries are crossed.
+// the moment it is verified — no intermediate slice, and once the
+// window is warm no allocation at all (TestProcessToAllocatesNothing
+// checks it, with δ = 0 and δ > 0). Under STR every match involving
+// the item is emitted during the call; under MB matches are emitted
+// when window boundaries are crossed.
 //
 // With Options.Lateness δ > 0 the item first passes the reorder stage:
 // it may be buffered and released (together with earlier buffered
@@ -55,19 +56,23 @@ func CollectInto(dst *[]Match) MatchSink { return apss.Collector(dst) }
 // stays reusable after an early exit. An item behind the watermark is
 // rejected with a *TimeRegressionError and counted in Stats.LateDrops.
 func (j *Joiner) ProcessTo(it Item, sink MatchSink) error {
-	g := apss.NewGate(sink)
-	if err := j.reo.Push(it, j.feed(&g)); err != nil {
-		return j.admissionErr(err)
+	j.gate = apss.NewGate(sink)
+	if err := j.reo.Push(it, j.release); err != nil {
+		return j.endCall(j.admissionErr(err))
 	}
-	return g.Err()
+	return j.endCall(nil)
 }
 
-// feed adapts the inner joiner to the reorder stage's release callback.
-// The gate latches sink errors (so a consumer stop never aborts a
-// release batch mid-way), leaving AddTo's return to carry only engine
-// errors.
-func (j *Joiner) feed(g *apss.Gate) func(stream.Item) error {
-	return func(rel stream.Item) error { return j.inner.AddTo(rel, g.Emit) }
+// endCall ends a ProcessTo, FlushTo or AdvanceTo call: it drops the
+// caller's sink, so the Joiner keeps neither it nor what it holds
+// reachable between calls, and returns err, or else the sink's first
+// error.
+func (j *Joiner) endCall(err error) error {
+	if err == nil {
+		err = j.gate.Err()
+	}
+	j.gate = apss.Gate{}
+	return err
 }
 
 // admissionErr maps reorder-stage errors onto the public surface: a
@@ -90,14 +95,11 @@ func (j *Joiner) admissionErr(err error) error {
 // watermark), then matches still buffered by the framework (MB windows,
 // STR dimension-ordering warmups) are emitted into sink.
 func (j *Joiner) FlushTo(sink MatchSink) error {
-	g := apss.NewGate(sink)
-	if err := j.reo.Flush(j.feed(&g)); err != nil {
-		return wrapTimeErr(err)
+	j.gate = apss.NewGate(sink)
+	if err := j.reo.Flush(j.release); err != nil {
+		return j.endCall(wrapTimeErr(err))
 	}
-	if err := j.inner.FlushTo(g.Emit); err != nil {
-		return wrapTimeErr(err)
-	}
-	return g.Err()
+	return j.endCall(wrapTimeErr(j.inner.FlushTo(j.emit)))
 }
 
 // AdvanceTo applies an event-time heartbeat: a promise from the caller
@@ -112,18 +114,16 @@ func (j *Joiner) FlushTo(sink MatchSink) error {
 // stream clock) is a no-op; heartbeats on a fresh joiner establish the
 // clock, so a later item behind t is rejected as late.
 func (j *Joiner) AdvanceTo(t float64, sink MatchSink) error {
-	g := apss.NewGate(sink)
-	if err := j.reo.AdvanceTo(t, j.feed(&g)); err != nil {
-		return wrapTimeErr(err)
+	j.gate = apss.NewGate(sink)
+	if err := j.reo.AdvanceTo(t, j.release); err != nil {
+		return j.endCall(wrapTimeErr(err))
 	}
 	if w := j.reo.Watermark(); !math.IsInf(w, -1) {
 		if adv, ok := j.inner.(core.Advancer); ok {
-			if err := adv.AdvanceTo(w, g.Emit); err != nil {
-				return wrapTimeErr(err)
-			}
+			return j.endCall(wrapTimeErr(adv.AdvanceTo(w, j.emit)))
 		}
 	}
-	return g.Err()
+	return j.endCall(nil)
 }
 
 // Watermark returns the joiner's current event-time watermark: the

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"sssj/internal/apss"
@@ -442,6 +444,52 @@ func TestTopKSinkParity(t *testing.T) {
 	for i := range got {
 		if got[i].ID != want[i].ID || len(got[i].Matches) != len(want[i].Matches) {
 			t.Fatalf("neighborhood %d: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestProcessToAllocatesNothing: once the window is warm, ProcessTo on
+// in-memory items allocates nothing — with δ = 0 and through the reorder
+// buffer with δ > 0 alike. The gate, its bound Emit and the release
+// callback are built once per Joiner.
+func TestProcessToAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	pool := make([]Vector, 64)
+	for i := range pool {
+		dims := make([]uint32, 0, 8)
+		vals := make([]float64, 0, 8)
+		for d := uint32(r.Intn(20)); len(dims) < 8; d += 1 + uint32(r.Intn(40)) {
+			dims = append(dims, d)
+			vals = append(vals, 0.1+r.Float64())
+		}
+		v, err := NewVector(dims, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool[i] = v.Normalize()
+	}
+	for _, delta := range []float64{0, 20} {
+		j, err := New(Options{Theta: 0.5, Lambda: 0.1, Lateness: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		sink := func(Match) error { return nil }
+		process := func() {
+			// τ ≈ 6.9 at 0.1 per item keeps ~70 items live.
+			if err := j.ProcessTo(Item{ID: uint64(n), Time: float64(n) / 10, Vec: pool[n%len(pool)]}, sink); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		for range 5000 {
+			process()
+		}
+		if allocs := testing.AllocsPerRun(1000, process); allocs != 0 {
+			t.Fatalf("δ=%v: ProcessTo allocates %v objects per item", delta, allocs)
+		}
+		if !reflect.ValueOf(j.gate).IsZero() {
+			t.Fatalf("δ=%v: the Joiner keeps the last call's sink", delta)
 		}
 	}
 }

@@ -79,7 +79,8 @@ type parena struct {
 	// bracket. Checkpoint load rebuilds it through the ordinary push path.
 	tmax []float64
 
-	free []int32 // recycled block indexes
+	free  []int32  // recycled block indexes
+	heads []*chain // recycled chain heads of emptied dimensions
 }
 
 // blocks returns the number of blocks ever allocated (live + free),
@@ -171,15 +172,27 @@ func (ar *parena) push(ch *chain, slot uint32, t, val, pnorm float64) {
 }
 
 // pushTo appends an entry to dimension d's chain in lists, creating the
-// chain head on first use — the one indexing path shared by the engines
-// and the checkpoint loader.
+// chain head on first use (from the recycled heads when there are any) —
+// the one indexing path shared by the engines and the checkpoint loader.
 func (ar *parena) pushTo(lists map[uint32]*chain, d uint32, slot uint32, t, val, pnorm float64) {
 	ch := lists[d]
 	if ch == nil {
-		ch = newChain()
+		if n := len(ar.heads); n > 0 {
+			ch = ar.heads[n-1]
+			ar.heads = ar.heads[:n-1]
+		} else {
+			ch = newChain()
+		}
 		lists[d] = ch
 	}
 	ar.push(ch, slot, t, val, pnorm)
+}
+
+// dropChain releases dimension d's emptied chain ch from lists, keeping
+// the head for the next dimension pushTo creates.
+func (ar *parena) dropChain(lists map[uint32]*chain, d uint32, ch *chain) {
+	delete(lists, d)
+	ar.heads = append(ar.heads, ch)
 }
 
 // descendCut scans ch newest→oldest, calling visit with the absolute

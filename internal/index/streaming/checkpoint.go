@@ -12,7 +12,6 @@ import (
 	"sssj/internal/apss"
 	"sssj/internal/cbuf"
 	"sssj/internal/dimorder"
-	"sssj/internal/lhmap"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
 )
@@ -169,7 +168,7 @@ func saveLists(cw *ckptWriter, withPnorm bool, p postings) {
 // saveEngine writes a prefix-filtering engine's residual index and, for
 // the AP engines, m, m̂λ and lastTouch.
 func saveEngine(cw *ckptWriter, ic *icCore, mhatVal, mhatT, lastTouch map[uint32]float64) {
-	saveRes(cw, ic.res, &ic.slots)
+	saveRes(cw, ic)
 	if !ic.useAP {
 		return
 	}
@@ -310,13 +309,13 @@ func saveTouch(cw *ckptWriter, touch map[uint32]float64) {
 	}
 }
 
-// saveRes serializes a residual direct index. The v4 side byte is
-// resolved through the slot table (a live residual always owns its
-// slot).
-func saveRes(cw *ckptWriter, res *lhmap.Map[uint64, *smeta], slots *slotTab) {
-	cw.u32(uint32(res.Len()))
-	res.Ascend(func(id uint64, m *smeta) bool {
-		cw.u64(id)
+// saveRes serializes a prefix engine's residual direct index. The id
+// and the v4 side byte are resolved through the slot table (a live
+// residual always owns its slot).
+func saveRes(cw *ckptWriter, ic *icCore) {
+	cw.u32(uint32(ic.order.Len()))
+	ic.ascendRes(func(sl uint32, m *smeta) {
+		cw.u64(ic.slots.id[sl])
 		cw.f64(m.t)
 		cw.u32(uint32(m.boundary))
 		cw.f64(m.q)
@@ -325,8 +324,7 @@ func saveRes(cw *ckptWriter, res *lhmap.Map[uint64, *smeta], slots *slotTab) {
 			cw.u32(m.vec.Dims[i])
 			cw.f64(m.vec.Vals[i])
 		}
-		cw.u8(uint8(slots.side[m.slot]))
-		return true
+		cw.u8(uint8(ic.slots.side[sl]))
 	})
 }
 
@@ -427,7 +425,7 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 		slots    *slotTab
 		putEntry func(d uint32, slot uint32, t, val, pnorm float64)
 		doneInv  func() // rebuilds the INV live-slot queue
-		putRes   func(id uint64, m *smeta)
+		putRes   func(sl uint32, m smeta)
 		putM     func(d uint32, val float64)
 		putMhat  func(d uint32, val, t float64)
 		putTouch func(d uint32, t float64)
@@ -539,17 +537,7 @@ func LoadFull(r io.Reader, opts Options) (Index, *EventTimeState, error) {
 			if err := vv.Validate(); err != nil || boundary > nnz {
 				return nil, nil, fmt.Errorf("%w: residual %d invalid", ErrBadCheckpoint, id)
 			}
-			residual := vv.SliceByIndex(0, boundary)
-			putRes(id, &smeta{
-				t:        t,
-				vec:      vv,
-				pn:       vv.PrefixNorms(),
-				boundary: boundary,
-				q:        q,
-				rsum:     residual.Sum(),
-				rmax:     residual.MaxVal(),
-				slot:     slotFor(id, t, side),
-			})
+			putRes(slotFor(id, t, side), newResidual(t, vv, boundary, q))
 		}
 		if useAP && cr.err == nil {
 			nM := int(cr.u32())

@@ -165,9 +165,9 @@ func TestLoadV2EngineCheckpoint(t *testing.T) {
 // writeOldRes serializes a residual direct index in the pre-v4 format,
 // which carried no per-item side byte.
 func writeOldRes(cw *ckptWriter, e *engine) {
-	cw.u32(uint32(e.res.Len()))
-	e.res.Ascend(func(id uint64, m *smeta) bool {
-		cw.u64(id)
+	cw.u32(uint32(e.order.Len()))
+	e.ascendRes(func(sl uint32, m *smeta) {
+		cw.u64(e.slots.id[sl])
 		cw.f64(m.t)
 		cw.u32(uint32(m.boundary))
 		cw.f64(m.q)
@@ -176,7 +176,6 @@ func writeOldRes(cw *ckptWriter, e *engine) {
 			cw.u32(m.vec.Dims[i])
 			cw.f64(m.vec.Vals[i])
 		}
-		return true
 	})
 }
 

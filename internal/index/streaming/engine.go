@@ -5,7 +5,7 @@ import (
 
 	"sssj/internal/accum"
 	"sssj/internal/apss"
-	"sssj/internal/lhmap"
+	"sssj/internal/cbuf"
 	"sssj/internal/metrics"
 	"sssj/internal/stream"
 	"sssj/internal/vec"
@@ -13,19 +13,19 @@ import (
 
 // smeta is the per-vector state kept in the residual direct index R: the
 // full vector (its prefix before boundary is the residual, and the suffix
-// may be needed again by re-indexing), prefix norms, the Q[ι(x)] pscore,
-// the residual statistics used by candidate verification, and the item's
-// compact slot (what its posting entries and the accumulator are keyed
-// by; recycled when the residual expires).
+// may be needed again by re-indexing), the Q[ι(x)] pscore and the
+// residual statistics used by candidate verification. It is stored by
+// value at the item's compact slot (what its posting entries and the
+// accumulator are keyed by; recycled when the residual expires); live is
+// false while the slot is free.
 type smeta struct {
 	t        float64
 	vec      vec.Vector
-	pn       []float64 // prefix norms of vec (len NNZ+1)
-	boundary int       // first indexed coordinate position
-	q        float64   // Q[ι(x)]
-	rsum     float64   // Σ of the residual prefix
-	rmax     float64   // max value of the residual prefix
-	slot     uint32
+	boundary int     // first indexed coordinate position
+	q        float64 // Q[ι(x)]
+	rsum     float64 // Σ of the residual prefix
+	rmax     float64 // max value of the residual prefix
+	live     bool
 }
 
 // icCore is the index-construction state machine shared by the
@@ -47,12 +47,16 @@ type icCore struct {
 	foreign bool
 	c       *metrics.Counters
 
-	res *lhmap.Map[uint64, *smeta]
-	// meta addresses the live residuals by slot, so candidate verification
-	// indexes instead of hashing: meta[sl] is the residual whose posting
-	// entries carry sl, nil while sl is free. Derived from res and kept in
-	// step with it by putResidual and expire.
-	meta []*smeta
+	// meta and order are the residual direct index R (§6.2), in the shape
+	// of invIndex.live: meta[sl] is the residual whose posting entries
+	// carry slot sl, so candidate verification indexes instead of
+	// hashing, and order holds the live residuals' slots in insertion
+	// (= time) order, so expiry pops from the front.
+	meta  []smeta
+	order cbuf.Ring[uint32]
+	// pn is prefix-norm scratch: the query's, filled by AddTo and insert
+	// before indexVector, and a re-indexed residual's inside reindex.
+	pn []float64
 	// m is the monotone (undecayed) max vector driving the b1 bound;
 	// per §6.2 decay is deliberately not applied to it, so it only grows
 	// and re-indexing happens only when a new per-dimension maximum
@@ -82,8 +86,7 @@ func (ic *icCore) icBound(b1, b2 float64) float64 {
 // indexVector is the index-construction loop of Algorithm 6 (lines 6–14):
 // walk x's coordinates accumulating the b1 (AP, undecayed m — §6.2) and b2
 // (ℓ2) bounds; once their minimum reaches θ, index the remaining suffix
-// and store the prefix as the residual. pn is x.Vec.PrefixNorms(), which
-// the residual keeps.
+// and store the prefix as the residual. pn is x.Vec.PrefixNorms().
 func (ic *icCore) indexVector(x stream.Item, pn []float64) {
 	dims, vals := x.Vec.Dims, x.Vec.Vals
 	if len(dims) == 0 {
@@ -115,37 +118,45 @@ func (ic *icCore) indexVector(x stream.Item, pn []float64) {
 		// so it is not retained at all.
 		return
 	}
-	residual := x.Vec.SliceByIndex(0, boundary)
-	ic.putResidual(x.ID, &smeta{
-		t:        x.Time,
-		vec:      x.Vec,
-		pn:       pn,
-		boundary: boundary,
-		q:        q,
-		rsum:     residual.Sum(),
-		rmax:     residual.MaxVal(),
-		slot:     slot,
-	})
+	ic.putResidual(slot, newResidual(x.Time, x.Vec, boundary, q))
 	ic.c.ResidualEntries++
 }
 
-// putResidual stores m in R under id and in the slot table under m.slot.
-func (ic *icCore) putResidual(id uint64, m *smeta) {
-	ic.res.Put(id, m)
-	if n := int(m.slot) + 1; n > len(ic.meta) {
-		ic.meta = append(ic.meta, make([]*smeta, n-len(ic.meta))...)
+// newResidual builds the R entry of vector v indexed from boundary on.
+func newResidual(t float64, v vec.Vector, boundary int, q float64) smeta {
+	residual := v.SliceByIndex(0, boundary)
+	return smeta{t: t, vec: v, boundary: boundary, q: q, rsum: residual.Sum(), rmax: residual.MaxVal(), live: true}
+}
+
+// putResidual stores m in R at slot sl. A slot that already holds a live
+// residual (a checkpoint listing one item twice) is overwritten in
+// place, keeping its position in order.
+func (ic *icCore) putResidual(sl uint32, m smeta) {
+	if n := int(sl) + 1; n > len(ic.meta) {
+		ic.meta = append(ic.meta, make([]smeta, n-len(ic.meta))...)
 	}
-	ic.meta[m.slot] = m
+	if !ic.meta[sl].live {
+		ic.order.PushBack(sl)
+	}
+	ic.meta[sl] = m
 }
 
 // residual returns the live residual whose posting entries carry slot
 // sl, or nil: a slot that only a stale posting entry still names (one a
 // checkpoint restored past its item's expiry) has none.
 func (ic *icCore) residual(sl uint32) *smeta {
-	if int(sl) < len(ic.meta) {
-		return ic.meta[sl]
+	if int(sl) < len(ic.meta) && ic.meta[sl].live {
+		return &ic.meta[sl]
 	}
 	return nil
+}
+
+// ascendRes visits the live residuals in insertion (= time) order.
+func (ic *icCore) ascendRes(fn func(sl uint32, m *smeta)) {
+	for i := range ic.order.Len() {
+		sl := ic.order.At(i)
+		fn(sl, &ic.meta[sl])
+	}
 }
 
 // expire drops the residuals beyond the horizon at time now (amortized
@@ -155,14 +166,15 @@ func (ic *icCore) residual(sl uint32) *smeta {
 // bit, and a slot released while one of its entries still counts as live
 // would hand that entry's partial dot to the slot's next owner.
 func (ic *icCore) expire(now, tau float64) {
-	ic.res.PruneWhile(func(_ uint64, m *smeta) bool {
-		if now-m.t > tau {
-			ic.meta[m.slot] = nil
-			ic.slots.release(m.slot)
-			return true
+	for ic.order.Len() > 0 {
+		sl := ic.order.Front()
+		if !(now-ic.meta[sl].t > tau) {
+			return
 		}
-		return false
-	})
+		ic.order.PopFront()
+		ic.meta[sl] = smeta{}
+		ic.slots.release(sl)
+	}
 }
 
 // reindex restores the AP invariant after the max vector grew on the
@@ -175,9 +187,9 @@ func (ic *icCore) reindex(changed []uint32) {
 	for _, d := range changed {
 		changedSet[d] = true
 	}
-	ic.res.Ascend(func(id uint64, meta *smeta) bool {
+	ic.ascendRes(func(sl uint32, meta *smeta) {
 		if meta.boundary == 0 {
-			return true
+			return
 		}
 		affected := false
 		for _, d := range meta.vec.Dims[:meta.boundary] {
@@ -187,7 +199,7 @@ func (ic *icCore) reindex(changed []uint32) {
 			}
 		}
 		if !affected {
-			return true
+			return
 		}
 		ic.c.Reindexings++
 		dims, vals := meta.vec.Dims, meta.vec.Vals
@@ -210,10 +222,11 @@ func (ic *icCore) reindex(changed []uint32) {
 			// pscore was computed under the smaller m and may no longer
 			// bound the residual's similarity to future queries.
 			meta.q = ic.icBound(b1, math.Sqrt(bt))
-			return true
+			return
 		}
+		ic.pn = meta.vec.AppendPrefixNorms(ic.pn[:0])
 		for i := newBoundary; i < meta.boundary; i++ {
-			ic.push(dims[i], meta.slot, meta.t, vals[i], meta.pn[i])
+			ic.push(dims[i], sl, meta.t, vals[i], ic.pn[i])
 			ic.c.ReindexedEntries++
 			ic.c.IndexedEntries++
 		}
@@ -222,7 +235,6 @@ func (ic *icCore) reindex(changed []uint32) {
 		residual := meta.vec.SliceByIndex(0, newBoundary)
 		meta.rsum = residual.Sum()
 		meta.rmax = residual.MaxVal()
-		return true
 	})
 }
 
@@ -287,7 +299,6 @@ func newEngine(p apss.Params, kernel apss.Kernel, useAP, useL2 bool, abl Ablatio
 			useL2:        useL2,
 			foreign:      foreign,
 			c:            c,
-			res:          lhmap.New[uint64, *smeta](),
 			noIndexBound: abl.NoIndexBound,
 		},
 		kernel:  kernel,
@@ -335,15 +346,15 @@ func (e *engine) AddTo(x stream.Item, emit apss.Sink) error {
 		}
 	}
 
-	pn := x.Vec.PrefixNorms()
-	e.candGen(x, pn)
+	e.pn = x.Vec.AppendPrefixNorms(e.pn[:0])
+	e.candGen(x, e.pn)
 	// The gate lets a consumer stop mid-stream without leaving x half
 	// processed: index construction below runs regardless.
 	g := apss.NewGate(emit)
 	e.candVer(x, &g)
 	e.c.Pairs += g.Emitted()
 
-	e.indexVector(x, pn)
+	e.indexVector(x, e.pn)
 	if e.useAP {
 		e.mhatUpdate(x)
 	}
@@ -539,7 +550,7 @@ func (e *engine) Size() SizeInfo {
 			s.PostingEntries += int(ch.n)
 		}
 	}
-	s.Residuals = e.res.Len()
+	s.Residuals = e.order.Len()
 	if e.useAP {
 		s.TrackedDims = len(e.m)
 		if n := len(e.mhatVal); n > s.TrackedDims {

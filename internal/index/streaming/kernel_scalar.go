@@ -104,7 +104,7 @@ func (e *engine) candGenScalar(x stream.Item) {
 			e.c.ExpiredEntries += int64(removed)
 		}
 		if ch.n == 0 {
-			delete(e.lists, d)
+			e.ar.dropChain(e.lists, d, ch)
 		}
 		if e.useAP {
 			rs1 -= xj * e.mhatAt(d)
@@ -147,7 +147,7 @@ func (ix *invIndex) scanScalar(x stream.Item) {
 		if removed > 0 {
 			ix.c.ExpiredEntries += int64(removed)
 			if ch.n == 0 {
-				delete(ix.lists, d)
+				ix.ar.dropChain(ix.lists, d, ch)
 			}
 		}
 	}
@@ -238,7 +238,7 @@ func (e *engine) candGenShardScalar(x stream.Item) {
 				e.c.ExpiredEntries += int64(removed)
 			}
 			if ch.n == 0 {
-				delete(e.lists, d)
+				e.ar.dropChain(e.lists, d, ch)
 			}
 		}
 		if e.useAP {

@@ -179,7 +179,7 @@ func (e *engine) candGenVec(x stream.Item, pnx []float64) {
 			}
 			e.c.ExpiredEntries += int64(removed)
 			if ch.n == 0 {
-				delete(e.lists, d)
+				e.ar.dropChain(e.lists, d, ch)
 			}
 		} else if !e.sharded {
 			// The sequential bounds keep a coordinate without a chain.
@@ -327,7 +327,7 @@ func (ix *invIndex) scanVec(x stream.Item) {
 		if removed > 0 {
 			ix.c.ExpiredEntries += int64(removed)
 			if ch.n == 0 {
-				delete(ix.lists, d)
+				ix.ar.dropChain(ix.lists, d, ch)
 			}
 		}
 	}

@@ -2,11 +2,14 @@ package streaming
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"sssj/internal/apss"
 	"sssj/internal/metrics"
 	"sssj/internal/stream"
+	"sssj/internal/vec"
 )
 
 // This file holds the arena-vs-ring oracle tests: the frozen ring-backed
@@ -190,6 +193,66 @@ func TestArenaSlotSpaceBounded(t *testing.T) {
 		// items without recycling would blow far past this.
 		if span > 100 {
 			t.Fatalf("%v: slot space grew with the stream: %d slots for %d items", kind, span, len(items))
+		}
+	}
+}
+
+// TestRepeatedIDsRecycleSlots: item ids are the caller's, and nothing
+// stops a caller from reusing one. Every kind must still recycle each
+// item's slot when it expires — keeping the slot space, and the
+// accumulator arrays sized to it, at the live window — and find the same
+// matches. Items arrive one per time unit; τ = ln 2/0.1 ≈ 6.9 keeps 7 live.
+func TestRepeatedIDsRecycleSlots(t *testing.T) {
+	p := apss.Params{Theta: 0.5, Lambda: 0.1}
+	r := rand.New(rand.NewSource(5))
+	items := make([]stream.Item, 10000)
+	for i := range items {
+		vals := []float64{0.5 + r.Float64()/2, 0.5 + r.Float64()/2, 0.5 + r.Float64()/2, 0.5 + r.Float64()/2}
+		items[i] = stream.Item{ID: 7, Time: float64(i), Vec: vec.MustNew([]uint32{1, 2, 3, 4}, vals).Normalize()}
+	}
+	const live = 7
+	// partners[i] lists the DT of every match of item i, sorted: with one
+	// id for all items, DT is what tells the partners apart.
+	var want [][]float64
+	for _, kind := range []Kind{INV, L2AP, L2, AP} {
+		ix, err := New(kind, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partners := make([][]float64, len(items))
+		n := 0
+		for i, it := range items {
+			ms, err := ix.Add(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ms {
+				partners[i] = append(partners[i], m.DT)
+			}
+			slices.Sort(partners[i])
+			n += len(ms)
+		}
+		var span int
+		switch v := ix.(type) {
+		case *invIndex:
+			span = v.slots.span()
+		case *engine:
+			span = v.slots.span()
+		}
+		if span > live+1 {
+			t.Errorf("%v: slot space %d for a live window of %d items", kind, span, live)
+		}
+		if want == nil {
+			want = partners
+			if n == 0 {
+				t.Fatal("the stream has no matches")
+			}
+			continue
+		}
+		for i := range items {
+			if !slices.Equal(partners[i], want[i]) {
+				t.Fatalf("%v: item %d matched at DT %v, INV at %v", kind, i, partners[i], want[i])
+			}
 		}
 	}
 }

@@ -53,7 +53,8 @@ func (e *engine) insert(x stream.Item) error {
 			e.reindex(changed)
 		}
 	}
-	e.indexVector(x, x.Vec.PrefixNorms())
+	e.pn = x.Vec.AppendPrefixNorms(e.pn[:0])
+	e.indexVector(x, e.pn)
 	if e.useAP {
 		e.mhatUpdate(x)
 	}
@@ -90,9 +91,8 @@ func extractLive(ix Index) (liveState, error) {
 	switch v := ix.(type) {
 	case *engine:
 		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock
-		v.res.Ascend(func(id uint64, m *smeta) bool {
-			st.items = append(st.items, stream.Item{ID: id, Time: m.t, Side: v.slots.side[m.slot], Vec: m.vec})
-			return true
+		v.ascendRes(func(sl uint32, m *smeta) {
+			st.items = append(st.items, stream.Item{ID: v.slots.id[sl], Time: m.t, Side: v.slots.side[sl], Vec: m.vec})
 		})
 	case *invIndex:
 		st.p, st.kernel, st.now, st.begun, st.clock = v.p, v.kernel, v.now, v.begun, v.clock

@@ -408,14 +408,16 @@ func FuzzShardParity(f *testing.F) {
 // meetsOwned reports whether worker e's scan of x reaches candidate y:
 // y has an indexed coordinate at a dimension e owns and x has.
 func meetsOwned(e *engine, x stream.Item, y uint64) bool {
-	meta, ok := e.res.Get(y)
-	if !ok {
-		return false
-	}
-	for _, d := range meta.vec.Dims[meta.boundary:] {
-		if e.shard.owns(d) && x.Vec.At(d) != 0 {
-			return true
+	met := false
+	e.ascendRes(func(sl uint32, meta *smeta) {
+		if e.slots.id[sl] != y {
+			return
 		}
-	}
-	return false
+		for _, d := range meta.vec.Dims[meta.boundary:] {
+			if e.shard.owns(d) && x.Vec.At(d) != 0 {
+				met = true
+			}
+		}
+	})
+	return met
 }

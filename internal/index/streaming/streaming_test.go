@@ -206,3 +206,39 @@ func TestL2IndexesFewerEntriesThanINV(t *testing.T) {
 		t.Fatalf("L2 indexed %d >= INV %d", cL2.IndexedEntries, cINV.IndexedEntries)
 	}
 }
+
+// TestAddToAllocatesNothing: once the window is warm, an STR-L2 AddTo
+// over a recurring pool of dimensions allocates nothing — the residual
+// table, the slots, the arena blocks, the chain heads and the
+// prefix-norm scratch are all reused.
+func TestAddToAllocatesNothing(t *testing.T) {
+	ix, err := New(L2, apss.Params{Theta: 0.5, Lambda: 0.1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ix.(SinkIndex)
+	r := rand.New(rand.NewSource(3))
+	pool := make([]vec.Vector, 64)
+	for i := range pool {
+		m := map[uint32]float64{}
+		for range 4 + r.Intn(8) {
+			m[uint32(r.Intn(300))] = 0.1 + r.Float64()
+		}
+		pool[i] = vec.FromMap(m).Normalize()
+	}
+	n := 0
+	sink := func(apss.Match) error { return nil }
+	add := func() {
+		// τ ≈ 6.9 at 0.1 per item keeps ~70 items live.
+		if err := e.AddTo(stream.Item{ID: uint64(n), Time: float64(n) / 10, Vec: pool[n%len(pool)]}, sink); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for range 5000 {
+		add()
+	}
+	if allocs := testing.AllocsPerRun(1000, add); allocs != 0 {
+		t.Fatalf("AddTo allocates %v objects per item in steady state", allocs)
+	}
+}

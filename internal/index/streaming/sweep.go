@@ -45,7 +45,7 @@ func sweepChains(ar *parena, lists map[uint32]*chain, disordered bool, now, tau 
 			removed += int64(ar.sweepOrdered(ch, now, tau))
 		}
 		if ch.n == 0 {
-			delete(lists, d)
+			ar.dropChain(lists, d, ch)
 		}
 	}
 	return removed

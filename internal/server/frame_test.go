@@ -458,6 +458,10 @@ func FuzzItemFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ioDeadline = 5 * time.Second
 		var before, after runtime.MemStats
+		// TotalAlloc is process-wide: measure only once the previous
+		// input's probe has been served, and read it again only once this
+		// input's connection is gone, so nothing else is counted.
+		awaitNoConns(t, srv, ioDeadline)
 		runtime.ReadMemStats(&before)
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -497,6 +501,7 @@ func FuzzItemFrame(f *testing.F) {
 		if _, err := io.Copy(io.Discard, c.r); err != nil {
 			t.Fatalf("connection did not drain: %v", err)
 		}
+		awaitNoConns(t, srv, ioDeadline)
 		runtime.ReadMemStats(&after)
 		if grew, allowed := after.TotalAlloc-before.TotalAlloc, uint64(512<<10+64*len(data)); grew > allowed {
 			t.Fatalf("%d input bytes cost %d bytes of allocation, over %d", len(data), grew, allowed)
@@ -510,6 +515,23 @@ func FuzzItemFrame(f *testing.F) {
 			t.Fatalf("server stopped answering: %v", err)
 		}
 	})
+}
+
+// awaitNoConns waits until srv holds no open connection: every handler
+// has returned.
+func awaitNoConns(t *testing.T, srv *Server, timeout time.Duration) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; time.Sleep(time.Millisecond) {
+		srv.lnMu.Lock()
+		n := len(srv.conns)
+		srv.lnMu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after %v", n, timeout)
+		}
+	}
 }
 
 // BenchmarkItemRoundTrip is one Client.Add against a live session over

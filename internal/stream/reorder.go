@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -145,7 +144,7 @@ func (r *Reorder) Push(it Item, emit func(Item) error) error {
 	if it.Time < w {
 		return &LateError{ID: it.ID, Time: it.Time, Watermark: w}
 	}
-	heap.Push(&r.buf, it)
+	r.buf.push(it)
 	return r.release(w, emit)
 }
 
@@ -168,8 +167,7 @@ func (r *Reorder) AdvanceTo(t float64, emit func(Item) error) error {
 // release pops and emits every buffered item with Time ≤ w.
 func (r *Reorder) release(w float64, emit func(Item) error) error {
 	for len(r.buf) > 0 && r.buf[0].Time <= w {
-		it := heap.Pop(&r.buf).(Item)
-		if err := emit(it); err != nil {
+		if err := emit(r.buf.pop()); err != nil {
 			return err
 		}
 	}
@@ -182,8 +180,7 @@ func (r *Reorder) release(w float64, emit func(Item) error) error {
 // Push still enforces the same lateness bound.
 func (r *Reorder) Flush(emit func(Item) error) error {
 	for len(r.buf) > 0 {
-		it := heap.Pop(&r.buf).(Item)
-		if err := emit(it); err != nil {
+		if err := emit(r.buf.pop()); err != nil {
 			return err
 		}
 	}
@@ -219,28 +216,66 @@ func (r *Reorder) State() ReorderState {
 func RestoreReorder(st ReorderState) *Reorder {
 	r := &Reorder{delta: st.Delta, sided: st.Sided, seen: st.Seen, maxT: st.MaxT}
 	r.buf = append(r.buf, st.Buffered...)
-	heap.Init(&r.buf)
+	for i := len(r.buf)/2 - 1; i >= 0; i-- {
+		r.buf.down(i)
+	}
 	return r
 }
 
-// reorderHeap is a min-heap of items ordered by (Time, ID).
+// reorderHeap is a min-heap of items ordered by (Time, ID). It is typed
+// rather than driven through container/heap, whose interface{} Push and
+// Pop box every Item; the sift steps are container/heap's, so items
+// tied on (Time, ID) leave in the same order.
 type reorderHeap []Item
 
-func (h reorderHeap) Len() int { return len(h) }
-func (h reorderHeap) Less(i, j int) bool {
+func (h reorderHeap) less(i, j int) bool {
 	if h[i].Time != h[j].Time {
 		return h[i].Time < h[j].Time
 	}
 	return h[i].ID < h[j].ID
 }
-func (h reorderHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *reorderHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
-func (h *reorderHeap) Pop() interface{} {
+
+// push adds it to the heap.
+func (h *reorderHeap) push(it Item) {
+	*h = append(*h, it)
+	for j := len(*h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		(*h)[i], (*h)[j] = (*h)[j], (*h)[i]
+		j = i
+	}
+}
+
+// pop removes and returns the least item.
+func (h *reorderHeap) pop() Item {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	it := old[0]
+	old[0] = old[n]
+	old[n] = Item{} // drop the vector reference
+	*h = old[:n]
+	h.down(0)
+	return it
+}
+
+// down sifts the item at i toward the leaves.
+func (h reorderHeap) down(i int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // ShuffleWithin returns a deterministic within-δ perturbation of a

@@ -247,3 +247,30 @@ func TestReorderStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReorderAllocations: with δ > 0 a steady stream of Push calls and
+// the releases they trigger allocates nothing once the buffer is warm.
+func TestReorderAllocations(t *testing.T) {
+	r := NewReorder(20)
+	shuffled := ShuffleWithin(func() []Item {
+		items := make([]Item, 4000)
+		for i := range items {
+			items[i] = Item{ID: uint64(i), Time: float64(i) / 4}
+		}
+		return items
+	}(), 20, 1)
+	emit := func(Item) error { return nil }
+	n := 0
+	push := func() {
+		if err := r.Push(shuffled[n], emit); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for range 1000 {
+		push()
+	}
+	if allocs := testing.AllocsPerRun(2000, push); allocs != 0 {
+		t.Fatalf("Push allocates %v objects per item", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -317,5 +318,22 @@ func TestQuickTextRoundTripDirection(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTextReaderAllocations: Next allocates the item's dims and vals and
+// nothing else on an ASCII line.
+func TestTextReaderAllocations(t *testing.T) {
+	var in strings.Builder
+	for i := range 2000 {
+		fmt.Fprintf(&in, "%d 3:0.25 17:0.5 120:0.125 4000:1.5e-3 65537:0.75\n", i)
+	}
+	tr := NewTextReader(strings.NewReader(in.String()))
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := tr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Fatalf("Next allocates %v objects per line, want 2 (dims and vals)", allocs)
 	}
 }

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"sssj/internal/vec"
 )
@@ -37,11 +39,11 @@ func NewTextReader(r io.Reader) *TextReader {
 func (tr *TextReader) Next() (Item, error) {
 	for tr.sc.Scan() {
 		tr.line++
-		text := strings.TrimSpace(tr.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		line := bytes.TrimSpace(tr.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		it, err := tr.parseLine(text)
+		it, err := tr.parseLine(line)
 		if err != nil {
 			return Item{}, fmt.Errorf("stream: line %d: %w", tr.line, err)
 		}
@@ -58,27 +60,32 @@ func (tr *TextReader) Next() (Item, error) {
 	return Item{}, io.EOF
 }
 
-func (tr *TextReader) parseLine(text string) (Item, error) {
-	fields := strings.Fields(text)
-	ts, err := strconv.ParseFloat(fields[0], 64)
+// parseLine parses a trimmed, non-comment line over its bytes in place,
+// allocating only the item's dims and vals when the line is accepted.
+// The string(b) conversions handed to strconv do not escape and so do
+// not allocate for fields of up to 32 bytes.
+func (tr *TextReader) parseLine(line []byte) (Item, error) {
+	f, rest := nextField(line)
+	ts, err := strconv.ParseFloat(string(f), 64)
 	if err != nil {
-		return Item{}, fmt.Errorf("bad timestamp %q: %w", fields[0], err)
+		return Item{}, fmt.Errorf("bad timestamp %q: %w", f, err)
 	}
 	if err := FiniteTime(ts); err != nil {
 		return Item{}, err
 	}
-	dims := make([]uint32, 0, len(fields)-1)
-	vals := make([]float64, 0, len(fields)-1)
-	for _, f := range fields[1:] {
-		colon := strings.IndexByte(f, ':')
+	n := bytes.Count(rest, []byte{':'}) // at least the coordinates of an accepted line
+	dims := make([]uint32, 0, n)
+	vals := make([]float64, 0, n)
+	for f, rest = nextField(rest); len(f) > 0; f, rest = nextField(rest) {
+		colon := bytes.IndexByte(f, ':')
 		if colon <= 0 || colon == len(f)-1 {
 			return Item{}, fmt.Errorf("bad coordinate %q", f)
 		}
-		d, err := strconv.ParseUint(f[:colon], 10, 32)
+		d, err := strconv.ParseUint(string(f[:colon]), 10, 32)
 		if err != nil {
 			return Item{}, fmt.Errorf("bad dimension %q: %w", f[:colon], err)
 		}
-		v, err := strconv.ParseFloat(f[colon+1:], 64)
+		v, err := strconv.ParseFloat(string(f[colon+1:]), 64)
 		if err != nil {
 			return Item{}, fmt.Errorf("bad value %q: %w", f[colon+1:], err)
 		}
@@ -92,6 +99,45 @@ func (tr *TextReader) parseLine(text string) (Item, error) {
 	it := Item{ID: tr.nextID, Time: ts, Vec: v}
 	tr.nextID++
 	return it, nil
+}
+
+// nextField returns the first field of b and what follows it, splitting
+// at white space as strings.Fields does; f is empty when b holds no
+// field. A byte below 0x80 is looked up in asciiSpace, any other
+// decoded as UTF-8.
+func nextField(b []byte) (f, rest []byte) {
+	i := 0
+	for i < len(b) {
+		w := 1
+		if c := b[i]; c >= utf8.RuneSelf {
+			w = unicodeSpaceWidth(b[i:])
+		} else if !asciiSpace[c] {
+			w = 0
+		}
+		if w == 0 {
+			break
+		}
+		i += w
+	}
+	j := i
+	for ; j < len(b); j++ { // a continuation byte never starts a space rune
+		if c := b[j]; c < utf8.RuneSelf && asciiSpace[c] || c >= utf8.RuneSelf && unicodeSpaceWidth(b[j:]) > 0 {
+			break
+		}
+	}
+	return b[i:j], b[j:]
+}
+
+// asciiSpace marks the bytes below 0x80 that unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// unicodeSpaceWidth returns the width of the white space rune b starts
+// with, or 0 if it starts with none.
+func unicodeSpaceWidth(b []byte) int {
+	if r, w := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return w
+	}
+	return 0
 }
 
 // WriteText writes items in the text format.

@@ -320,14 +320,18 @@ func (v Vector) SliceByIndex(from, to int) Vector {
 // quantity ||x'_j|| stored in L2AP/L2 posting entries. out has length
 // NNZ()+1; out[NNZ()] is the full norm.
 func (v Vector) PrefixNorms() []float64 {
-	out := make([]float64, len(v.Vals)+1)
+	return v.AppendPrefixNorms(make([]float64, 0, len(v.Vals)+1))
+}
+
+// AppendPrefixNorms appends PrefixNorms' values to dst and returns the
+// extended slice, so a caller can reuse one buffer across vectors.
+func (v Vector) AppendPrefixNorms(dst []float64) []float64 {
 	sq := 0.0
-	for i, x := range v.Vals {
-		out[i] = math.Sqrt(sq)
+	for _, x := range v.Vals {
+		dst = append(dst, math.Sqrt(sq))
 		sq += x * x
 	}
-	out[len(v.Vals)] = math.Sqrt(sq)
-	return out
+	return append(dst, math.Sqrt(sq))
 }
 
 // Equal reports exact equality of dimensions and values.

@@ -608,6 +608,23 @@ type Joiner struct {
 	// is a zero-buffer strict-order check, with δ > 0 a bounded reorder
 	// buffer releasing items behind the watermark (see Options.Lateness).
 	reo *stream.Reorder
+	// gate latches the sink errors of the current ProcessTo, FlushTo or
+	// AdvanceTo call, so a consumer stop never aborts a release batch
+	// mid-way and AddTo's return carries only engine errors; endCall
+	// resets it, dropping the caller's sink, as the call returns. emit (the
+	// gate's bound Emit) and release (the reorder stage's callback into
+	// inner) are built once by newJoiner, so a call allocates no closure.
+	gate    apss.Gate
+	emit    apss.Sink
+	release func(stream.Item) error
+}
+
+// newJoiner assembles a Joiner around its framework and reorder stage.
+func newJoiner(inner core.SinkJoiner, params Params, opts Options, reo *stream.Reorder) *Joiner {
+	j := &Joiner{inner: inner, params: params, opts: opts, reo: reo}
+	j.emit = j.gate.Emit
+	j.release = func(it stream.Item) error { return j.inner.AddTo(it, j.emit) }
+	return j
 }
 
 // New builds a Joiner.
@@ -623,7 +640,7 @@ func New(opts Options) (*Joiner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Joiner{inner: inner, params: params, opts: opts, reo: newReorderFor(opts)}, nil
+	return newJoiner(inner, params, opts, newReorderFor(opts)), nil
 }
 
 // paramsFor derives the effective (θ, λ) of an already-validated
